@@ -17,14 +17,29 @@ so the photon number, inversion, and correlation stay manifestly real.
 When all loss rates and nbar vanish the total excitation
 <a+a> + (N/2) <Sz> is conserved exactly.
 
-The integrator is scipy's adaptive embedded Runge-Kutta 5(4)
-(Dormand-Prince) with dense output evaluated on a uniform grid.  The
-state is nondimensionalized by N before integration because the photon
-number spans eleven orders of magnitude over a burst and adaptive error
-control misbehaves on such a spread.
+There are two integrations of these equations, and both work on the
+state nondimensionalized by N, because the photon number spans eleven
+orders of magnitude over a burst and adaptive error control misbehaves
+on such a spread.
+
+simulate_maser integrates one parameter set with scipy's adaptive
+embedded Runge-Kutta 5(4) (Dormand-Prince), sampled on a uniform grid.
+It stays on RK45 because the maser fit's success depends on this
+integrator's truncation error: with DOP853 in its place, fits started
+from (kappa_s, N) = 0.7 x truth end 2-4% off while reporting
+convergence.
+
+simulate_photon_stack integrates K parameter sets together as one
+5K-state system with the 8th-order Dormand-Prince method DOP853, which
+costs fewer right-hand-side evaluations than RK45 at equal accuracy.
+The members share one step sequence, so the differences between nearby
+members that a finite-difference Jacobian takes carry no step-size
+noise (internal numerical differentiation).  Both integrations evaluate
+the same right-hand side.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -125,6 +140,11 @@ def _scaled_rhs(t, y, p):
     )
 
 
+def _stacked_rhs(t, y, p):
+    # K members stored row-major as (5, K); p holds one (K,) array per rate.
+    return np.concatenate(_scaled_rhs(t, y.reshape(5, -1), p))
+
+
 @dataclass(frozen=True)
 class MaserTrajectory:
     """Simulated expectation values on a uniform output grid (physical units)."""
@@ -200,6 +220,58 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         spin_correlation=sol.y[4] * N,
         params=params,
     )
+
+
+def simulate_photon_stack(params_list, init, t_eval):
+    """Photon numbers of K parameter sets from one stacked integration.
+
+    The members share the initial state and are integrated together as
+    one 5K-state system with DOP853 at DEFAULT_RTOL and DEFAULT_ATOL, so
+    they share one step sequence.  Each member agrees with simulate_maser
+    to within the tolerance-level difference between the two methods.
+
+    Parameters
+    ----------
+    params_list : sequence of MaserSystemParams
+    init : MaserState
+        Initial expectation values (physical units), shared by all members.
+    t_eval : array_like
+        Increasing output grid in seconds; the integration spans its ends.
+
+    Returns
+    -------
+    np.ndarray
+        Photon number, shape (K, len(t_eval)).
+
+    Raises
+    ------
+    IntegrationFailureError
+        If the stacked system cannot advance; one failing member stops
+        all of them.
+    """
+    if len(params_list) == 0:
+        raise InvalidInputError("need at least one parameter set")
+    t_eval = np.asarray(t_eval, dtype=float)
+    if len(t_eval) < 2 or not t_eval[0] < t_eval[-1]:
+        raise InvalidInputError("t_eval must increase over at least two samples")
+    p = SimpleNamespace(**{
+        f.name: np.array([getattr(q, f.name) for q in params_list], dtype=float)
+        for f in fields(MaserSystemParams)})
+    init.validate(scale=max(float(np.max(p.n_bar)), 1.0))
+
+    N = p.n_spins
+    c0 = complex(init.coherence)
+    y0 = np.concatenate([init.photon_number / N, c0.real / N, c0.imag / N,
+                         np.full(len(N), float(init.inversion)),
+                         init.spin_correlation / N])
+    sol = solve_ivp(_stacked_rhs, (t_eval[0], t_eval[-1]), y0, method="DOP853",
+                    t_eval=t_eval, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, args=(p,))
+    if not sol.success:
+        last = float(sol.t[-1]) if len(sol.t) else float(t_eval[0])
+        raise IntegrationFailureError(
+            f"stacked integration stalled at t = {last:.6e} s: {sol.message}",
+            last_time=last)
+    return sol.y[:len(N)] * N[:, None]
 
 
 def cooperativity(g_e, kappa_c, kappa_s):

@@ -16,7 +16,11 @@ therefore pins the starting point with deterministic physics features
 first (exponential growth rate of the rise for g_e, peak height for N,
 post-peak envelope decay for kappa_s), sharpens kappa_s with a small
 deterministic scan, and only then polishes with Levenberg-Marquardt.
-All stages are plain function evaluations; nothing is stochastic.
+Each central-difference Jacobian of the polish, and each half of the
+kappa_s scan, integrates its bursts together as one stacked system
+(cqed.simulate_photon_stack); line-search trials and the feature stage
+use the single-burst simulate_maser.  All stages are plain function
+evaluations; nothing is stochastic.
 """
 
 import math
@@ -50,6 +54,9 @@ class FitProblem:
     values directly or on their log10 (for data spanning decades).
     jacobian, if given, maps params to the (n_data, n_params) matrix of
     d(model)/d(param) in linear space; it is only used for linear loss.
+    model_batch, if given, maps an (m, n_params) array of parameter
+    points to the (m, n_data) array whose row i is model(points[i]); the
+    numeric Jacobian then evaluates all its perturbed points in one call.
     """
 
     model: Callable
@@ -58,6 +65,7 @@ class FitProblem:
     bounds: Optional[list] = None
     loss_space: str = "linear"
     jacobian: Optional[Callable] = None
+    model_batch: Optional[Callable] = None
 
     def __post_init__(self):
         self.init = np.asarray(self.init, dtype=float)
@@ -85,36 +93,54 @@ class FitResult:
 
 
 def _residual_fn(problem):
+    """(resid, resid_batch) of a problem; resid_batch is None without model_batch.
+
+    resid_batch maps an (m, n_params) array of points to the (m, n_data)
+    residual rows, each formed exactly as resid forms one.
+    """
     y = problem.data.y
     if problem.loss_space == "log10":
         target = np.log10(np.maximum(np.abs(y), LOG_FLOOR))
 
-        def resid(p):
-            m = np.asarray(problem.model(p), dtype=float)
-            if np.any(np.isnan(m)):
-                raise ModelEvaluationError("model returned NaN")
+        def from_model(m):
             return np.log10(np.maximum(np.abs(m), LOG_FLOOR)) - target
     else:
-        def resid(p):
-            m = np.asarray(problem.model(p), dtype=float)
-            if np.any(np.isnan(m)):
-                raise ModelEvaluationError("model returned NaN")
+        def from_model(m):
             return m - y
-    return resid
+
+    def checked(m):
+        m = np.asarray(m, dtype=float)
+        if np.any(np.isnan(m)):
+            raise ModelEvaluationError("model returned NaN")
+        return from_model(m)
+
+    def resid(p):
+        return checked(problem.model(p))
+
+    if problem.model_batch is None:
+        return resid, None
+    return resid, lambda points: checked(problem.model_batch(points))
 
 
-def _numeric_jacobian(resid, p, r0=None):
+def _numeric_jacobian(resid, p, resid_batch=None):
+    """Central-difference Jacobian, step max(1e-6 |p_j|, 1e-10).
+
+    The 2n perturbed points are evaluated one by one with resid, or
+    together in one resid_batch call when it is given.
+    """
     n = len(p)
-    if r0 is None:
-        r0 = resid(p)
-    J = np.empty((len(r0), n))
-    for j in range(n):
-        h = max(1e-6 * abs(p[j]), 1e-10)
-        pp = p.copy()
-        pm = p.copy()
-        pp[j] += h
-        pm[j] -= h
-        J[:, j] = (resid(pp) - resid(pm)) / (2.0 * h)
+    steps = [max(1e-6 * abs(p[j]), 1e-10) for j in range(n)]
+    points = np.tile(p, (2 * n, 1))
+    for j, h in enumerate(steps):
+        points[j, j] += h
+        points[n + j, j] -= h
+    if resid_batch is None:
+        rows = [resid(q) for q in points]
+    else:
+        rows = resid_batch(points)
+    J = np.empty((len(rows[0]), n))
+    for j, h in enumerate(steps):
+        J[:, j] = (rows[j] - rows[n + j]) / (2.0 * h)
     return J
 
 
@@ -133,8 +159,13 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
     the maser driver uses this to keep the polish inside its narrow
     valley.  Deterministic: identical inputs give identical iterates.
     """
-    resid = _residual_fn(problem)
+    resid, resid_batch = _residual_fn(problem)
     use_analytic = problem.jacobian is not None and problem.loss_space == "linear"
+
+    def jacobian_at(q):
+        if use_analytic:
+            return np.asarray(problem.jacobian(q), dtype=float)
+        return _numeric_jacobian(resid, q, resid_batch)
 
     p = _clip_to_bounds(problem.init.copy(), problem.bounds)
     r = resid(p)
@@ -152,10 +183,7 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
 
     for _ in range(max_iterations):
         iterations += 1
-        if use_analytic:
-            J = np.asarray(problem.jacobian(p), dtype=float)
-        else:
-            J = _numeric_jacobian(resid, p, r)
+        J = jacobian_at(p)
         JtJ = J.T @ J
         grad = J.T @ r
         svals = np.linalg.svd(J, compute_uv=False)
@@ -234,19 +262,16 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
             iterations += int(nm.nit)
             converged = bool(nm.success)
 
-    uncertainties = _linearized_uncertainties(resid, p, r, use_analytic, problem)
+    uncertainties = _linearized_uncertainties(jacobian_at, p, r)
     return FitResult(params=p, residual_norm=math.sqrt(cost),
                      jacobian_condition=cond, iterations=iterations,
                      converged=converged, param_uncertainties=uncertainties)
 
 
-def _linearized_uncertainties(resid, p, r, use_analytic, problem):
+def _linearized_uncertainties(jacobian_at, p, r):
     """One-sigma parameter errors from the linearized covariance at the optimum."""
     try:
-        if use_analytic:
-            J = np.asarray(problem.jacobian(p), dtype=float)
-        else:
-            J = _numeric_jacobian(resid, p, r)
+        J = jacobian_at(p)
         dof = max(len(r) - len(p), 1)
         s2 = float(r @ r) / dof
         cov = s2 * np.linalg.inv(J.T @ J)
@@ -419,17 +444,27 @@ def _measure_growth_rate(t, n, n_bar):
     return float(coef[0])
 
 
+def _moving_average(x, width):
+    """Centred moving average, reflect-padded at both ends.
+
+    An even width is widened by one so the window stays centred.
+    """
+    w = width if width % 2 == 1 else width + 1
+    half = w // 2
+    pad = np.r_[x[half:0:-1], x, x[-2:-half - 2:-1]]
+    return np.convolve(pad, np.ones(w) / w, mode="valid")
+
+
+def _envelope_width(t):
+    """Smoothing width in samples spanning ENVELOPE_SMOOTH_SPAN, at least 3."""
+    return max(3, int(round(ENVELOPE_SMOOTH_SPAN / (t[1] - t[0]))))
+
+
 def _measure_envelope_slope(t, n):
     """Decay slope of the smoothed log photon number after the peak."""
     ln = np.log(np.maximum(n, LOG_FLOOR))
     i_peak = int(np.argmax(ln))
-    dt = t[1] - t[0]
-    w = max(3, int(round(ENVELOPE_SMOOTH_SPAN / dt)))
-    if w % 2 == 0:
-        w += 1
-    half = w // 2
-    pad = np.r_[ln[half:0:-1], ln, ln[-2:-half - 2:-1]]
-    smooth = np.convolve(pad, np.ones(w) / w, mode="valid")
+    smooth = _moving_average(ln, _envelope_width(t))
     t_lo = t[i_peak] + ENVELOPE_FIT_START
     t_hi = min(t[i_peak] + ENVELOPE_FIT_STOP, t[-1])
     sel = (t > t_lo) & (t < t_hi)
@@ -442,23 +477,75 @@ def _measure_envelope_slope(t, n):
 
 
 def _smooth_log10(y, width):
-    ln = np.log10(np.maximum(y, LOG_FLOOR))
-    w = width if width % 2 == 1 else width + 1
-    half = w // 2
-    pad = np.r_[ln[half:0:-1], ln, ln[-2:-half - 2:-1]]
-    return np.convolve(pad, np.ones(w) / w, mode="valid")
+    return _moving_average(np.log10(np.maximum(y, LOG_FLOOR)), width)
 
 
-def _simulate_on_grid(g_e, kappa_s, n_spins, fixed, t_grid):
-    params = cqed.MaserSystemParams(
+def _burst_params(g_e, kappa_s, n_spins, fixed):
+    return cqed.MaserSystemParams(
         g_e=g_e, kappa_c=fixed["kappa_c"], kappa_s=kappa_s,
         gamma=fixed["gamma"], delta=fixed.get("delta", 0.0),
         n_spins=n_spins, n_bar=fixed["n_bar"])
-    init = cqed.MaserState(
+
+
+def _burst_init(fixed):
+    return cqed.MaserState(
         photon_number=fixed["n_bar"], coherence=0.0,
         inversion=fixed["inversion0"], spin_correlation=0.0)
-    traj = cqed.simulate_maser(params, init, (t_grid[0], t_grid[-1]), t_eval=t_grid)
+
+
+def _simulate_on_grid(g_e, kappa_s, n_spins, fixed, t_grid):
+    traj = cqed.simulate_maser(_burst_params(g_e, kappa_s, n_spins, fixed),
+                               _burst_init(fixed), (t_grid[0], t_grid[-1]),
+                               t_eval=t_grid)
     return traj.photon_number
+
+
+def _simulate_or_none(g_e, kappa_s, n_spins, fixed, t_grid):
+    try:
+        return _simulate_on_grid(g_e, kappa_s, n_spins, fixed, t_grid)
+    except NumericalError:
+        return None
+
+
+def _simulate_each(points, fixed, t_grid):
+    """Photon numbers of (g_e, kappa_s, n_spins) rows, None where a member fails.
+
+    One stacked solve; when it fails, each member is simulated alone so
+    that one bad member does not take the others with it.
+    """
+    if not points:
+        return []
+    try:
+        return list(cqed.simulate_photon_stack(
+            [_burst_params(*q, fixed) for q in points], _burst_init(fixed), t_grid))
+    except NumericalError:
+        return [_simulate_or_none(*q, fixed, t_grid) for q in points]
+
+
+def _log_param_models(fixed, t_grid, row_map=None):
+    """(model, model_batch) over log10 (g_e, kappa_s, n_spins).
+
+    model simulates one burst with simulate_maser; model_batch simulates
+    all its points with _simulate_each.  row_map, if given, transforms
+    each simulated photon trace.  A failed simulation gives a row of
+    1e300, penalized rather than fatal, to push the optimizer away.
+    """
+    def physical(p):
+        return 10.0 ** p[0], 10.0 ** p[1], 10.0 ** p[2]
+
+    def finish(y):
+        if y is None:
+            return np.full(len(t_grid), 1e300)
+        return y if row_map is None else row_map(y)
+
+    def model(p):
+        return finish(_simulate_or_none(*physical(p), fixed, t_grid))
+
+    def model_batch(points):
+        ys = _simulate_each([physical(q) for q in points], fixed, t_grid)
+        return np.array([finish(y) for y in ys])
+
+    return model, model_batch
 
 
 def _feature_initialize(t, y_data, init, fixed, simulate):
@@ -569,18 +656,8 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
     if min(g0, ks0, N0) <= 0:
         raise InvalidInputError("initial (g_e, kappa_s, n_spins) must be positive")
 
-    n_evals = [0]
-
     def simulate(g_e, kappa_s, n_spins):
-        n_evals[0] += 1
         return _simulate_on_grid(g_e, kappa_s, n_spins, fixed, t)
-
-    def model_linear(p):
-        try:
-            return simulate(10.0 ** p[0], 10.0 ** p[1], 10.0 ** p[2])
-        except NumericalError:
-            # penalized, not fatal: push the optimizer away
-            return np.full(len(t), 1e300)
 
     # stage 1: feature-based relocation of the starting point
     g_e, kappa_s, n_spins = _feature_initialize(
@@ -591,34 +668,27 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
     # can stall a percent away, just outside the polish basin
     peak_data = float(np.max(y_data))
     log_target = np.log10(np.maximum(y_data, LOG_FLOOR))
-
-    def raw_cost(g, ks, N):
-        try:
-            y = simulate(g, ks, N)
-        except NumericalError:
-            return np.inf, None
-        r = np.log10(np.maximum(y, LOG_FLOOR)) - log_target
-        return float(r @ r), y
-
+    scan = [(g_e, factor * kappa_s, n_spins) for factor in KS_SCAN_FACTORS]
+    pinned = [(g, ks, N * peak_data / float(np.max(y)))
+              for (g, ks, N), y in zip(scan, _simulate_each(scan, fixed, t))
+              if y is not None]
     best = None
-    for factor in KS_SCAN_FACTORS:
-        ks_try = factor * kappa_s
-        try:
-            y_try = simulate(g_e, ks_try, n_spins)
-        except NumericalError:
-            continue
-        n_try = n_spins * peak_data / float(np.max(y_try))
-        c_try, _ = raw_cost(g_e, ks_try, n_try)
+    for (_, ks_try, n_try), y in zip(pinned, _simulate_each(pinned, fixed, t)):
+        if y is None:
+            c_try = np.inf
+        else:
+            r = np.log10(np.maximum(y, LOG_FLOOR)) - log_target
+            c_try = float(r @ r)
         if best is None or c_try < best[0]:
             best = (c_try, ks_try, n_try)
     if best is not None:
         _, kappa_s, n_spins = best
 
     p_start = np.log10([g_e, kappa_s, n_spins])
-    data_for_problem = photon_trace
+    model_raw, batch_raw = _log_param_models(fixed, t)
 
     # stage 3: capped Levenberg-Marquardt polish on the requested loss
-    problem_raw = FitProblem(model=model_linear, data=data_for_problem,
+    problem_raw = FitProblem(model=model_raw, model_batch=batch_raw, data=photon_trace,
                              init=p_start, loss_space=loss_space)
     result = nlls_minimize(problem_raw, max_step=POLISH_STEP_CAP)
 
@@ -626,22 +696,14 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
     # log-envelope to erase ripple phase structure, descend on that,
     # then re-polish; keep whichever end point fits the raw data better
     if result.residual_norm ** 2 > 1e-6 and loss_space == "log10":
-        dt = t[1] - t[0]
-        width = max(3, int(round(ENVELOPE_SMOOTH_SPAN / dt)))
-        smooth_target = _smooth_log10(y_data, width)
-        smooth_trace = TimeTrace(t, smooth_target, "dimensionless")
-
-        def model_smooth(p):
-            try:
-                y = simulate(10.0 ** p[0], 10.0 ** p[1], 10.0 ** p[2])
-            except NumericalError:
-                return np.full(len(t), 1e300)
-            return _smooth_log10(y, width)
-
-        problem_smooth = FitProblem(model=model_smooth, data=smooth_trace,
-                                    init=p_start, loss_space="linear")
+        width = _envelope_width(t)
+        smooth_trace = TimeTrace(t, _smooth_log10(y_data, width), "dimensionless")
+        model_smooth, batch_smooth = _log_param_models(
+            fixed, t, row_map=lambda y: _smooth_log10(y, width))
+        problem_smooth = FitProblem(model=model_smooth, model_batch=batch_smooth,
+                                    data=smooth_trace, init=p_start, loss_space="linear")
         res_smooth = nlls_minimize(problem_smooth, max_step=SMOOTH_STEP_CAP)
-        problem_raw2 = FitProblem(model=model_linear, data=data_for_problem,
+        problem_raw2 = FitProblem(model=model_raw, model_batch=batch_raw, data=photon_trace,
                                   init=res_smooth.params, loss_space=loss_space)
         result2 = nlls_minimize(problem_raw2, max_step=POLISH_STEP_CAP)
         if result2.residual_norm < result.residual_norm:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from maserkit.cqed import (
     predicted_rabi,
     rabi_discrepancy,
     simulate_maser,
+    simulate_photon_stack,
 )
 from maserkit.errors import (
     InvalidInputError,
@@ -124,6 +126,28 @@ def test_burst_insensitive_to_tolerance_tightening():
     b = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5), t_eval=t_eval, rtol=1e-9)
     pk_a, pk_b = np.max(a.photon_number), np.max(b.photon_number)
     assert pk_a == pytest.approx(pk_b, rel=1e-4)
+
+
+def test_stacked_members_match_separate_simulations():
+    # each method sits ~8e-4 dex from an rtol-1e-12 reference, so two
+    # independent integrations agree to within a few times that
+    t_eval = np.linspace(0.0, 1.5e-5, 600)
+    members = [REF_PARAMS,
+               dataclasses.replace(REF_PARAMS, g_e=1.01 * REF_PARAMS.g_e),
+               dataclasses.replace(REF_PARAMS, kappa_s=0.98 * REF_PARAMS.kappa_s,
+                                   n_spins=1.3 * REF_PARAMS.n_spins)]
+    stacked = simulate_photon_stack(members, REF_INIT, t_eval)
+    assert stacked.shape == (3, len(t_eval))
+    for params, row in zip(members, stacked):
+        alone = simulate_maser(params, REF_INIT, (0.0, 1.5e-5), t_eval=t_eval)
+        assert np.max(np.abs(np.log10(row) - np.log10(alone.photon_number))) < 2e-3
+
+
+def test_stacked_solve_rejects_bad_input():
+    with pytest.raises(InvalidInputError):
+        simulate_photon_stack([REF_PARAMS], REF_INIT, [1e-6, 0.0])
+    with pytest.raises(InvalidInputError):
+        simulate_photon_stack([], REF_INIT, [0.0, 1e-6])
 
 
 def test_cooperativity_reference_value():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from maserkit.errors import InvalidInputError, NumericalError
+from maserkit import cqed, fitting
+from maserkit.errors import IntegrationFailureError, InvalidInputError, NumericalError
 from maserkit.fitting import (
     FitProblem,
     fit_biexponential,
@@ -171,6 +172,147 @@ def test_zero_coupling_cannot_track_a_burst():
     log_resid = (np.log10(np.maximum(flat.photon_number, 1e-300))
                  - np.log10(np.maximum(trace.y, 1e-300)))
     assert float(np.linalg.norm(log_resid)) >= 10.0 * res.residual_norm
+
+
+def column_loop_jacobian(resid, p):
+    """Reference: central differences one parameter at a time."""
+    J = np.empty((len(resid(p)), len(p)))
+    for j in range(len(p)):
+        h = max(1e-6 * abs(p[j]), 1e-10)
+        pp = p.copy()
+        pm = p.copy()
+        pp[j] += h
+        pm[j] -= h
+        J[:, j] = (resid(pp) - resid(pm)) / (2.0 * h)
+    return J
+
+
+def test_numeric_jacobian_batch_equals_column_loop():
+    t = np.linspace(0.0, 2.0, 40)
+    basis = np.vstack([np.ones_like(t), t, t * t])
+    problem = FitProblem(
+        model=lambda p: p[0] * basis[0] + p[1] * basis[1] + p[2] * basis[2],
+        model_batch=lambda pts: (pts[:, :1] * basis[0] + pts[:, 1:2] * basis[1]
+                                 + pts[:, 2:] * basis[2]),
+        data=TimeTrace(t, 1.0 - 0.5 * t + 0.25 * t * t, "dimensionless"),
+        init=np.zeros(3), loss_space="linear")
+    resid, resid_batch = fitting._residual_fn(problem)
+    p = np.array([0.7, -3e-12, 2.5])    # one step on the 1e-10 floor
+    reference = column_loop_jacobian(resid, p)
+    assert np.array_equal(fitting._numeric_jacobian(resid, p, resid_batch), reference)
+    assert np.array_equal(fitting._numeric_jacobian(resid, p), reference)
+
+
+def noiseless_burst():
+    trace, meta = maser_burst()
+    fixed = {k: meta[k] for k in ("kappa_c", "gamma", "n_bar", "inversion0", "delta")}
+    truth = np.array([meta["g_e"], meta["kappa_s"], meta["n_spins"]])
+    return trace, fixed, truth
+
+
+def fail_integration(*args, **kwargs):
+    raise IntegrationFailureError("forced", last_time=0.0)
+
+
+def test_failed_stack_falls_back_to_per_member_rows(monkeypatch):
+    trace, fixed, truth = noiseless_burst()
+    model, model_batch = fitting._log_param_models(fixed, trace.t)
+    p = np.log10(truth)
+    single = cqed.simulate_maser
+
+    def fails_above_truth(params, *args, **kwargs):
+        if params.g_e > truth[0]:
+            fail_integration()
+        return single(params, *args, **kwargs)
+
+    monkeypatch.setattr(cqed, "simulate_photon_stack", fail_integration)
+    monkeypatch.setattr(cqed, "simulate_maser", fails_above_truth)
+    resid, resid_batch = fitting._residual_fn(FitProblem(
+        model=model, model_batch=model_batch, data=trace, init=p, loss_space="log10"))
+    J_batch = fitting._numeric_jacobian(resid, p, resid_batch)
+    J_single = fitting._numeric_jacobian(resid, p)
+    assert np.array_equal(J_batch, J_single)
+    # the g_e + h member carries the log10(1e300) penalty row
+    assert np.min(J_batch[:, 0]) > 1e6
+    assert np.array_equal(model_batch(p[None, :] + np.array([[1e-6, 0.0, 0.0]]))[0],
+                          np.full(len(trace.t), 1e300))
+
+
+def test_maser_fit_survives_when_every_simulation_fails(monkeypatch):
+    # the kappa_s scan then has no member to re-pin and must skip its
+    # second solve; the polish sees only penalty rows and stalls
+    trace, fixed, truth = noiseless_burst()
+    stack = cqed.simulate_photon_stack
+
+    def fail_every_member(params_list, *args):
+        if len(params_list) == 0:
+            return stack(params_list, *args)    # the real input checks
+        fail_integration()
+
+    monkeypatch.setattr(cqed, "simulate_maser", fail_integration)
+    monkeypatch.setattr(cqed, "simulate_photon_stack", fail_every_member)
+    res = fit_maser_parameters(trace, fixed, truth)
+    assert not res.converged
+    assert np.all(np.isfinite(res.params))
+
+
+def test_maser_fit_jacobians_use_only_stacked_solves(monkeypatch):
+    trace, fixed, truth = noiseless_burst()
+    counts = {"depth": 0, "jacobians": 0, "single_inside": 0, "stacked_inside": 0}
+    jacobian = fitting._numeric_jacobian
+    single = cqed.simulate_maser
+    stacked = cqed.simulate_photon_stack
+
+    def traced_jacobian(*args, **kwargs):
+        counts["jacobians"] += 1
+        counts["depth"] += 1
+        try:
+            return jacobian(*args, **kwargs)
+        finally:
+            counts["depth"] -= 1
+
+    def traced_single(*args, **kwargs):
+        counts["single_inside"] += counts["depth"] > 0
+        return single(*args, **kwargs)
+
+    def traced_stacked(*args, **kwargs):
+        counts["stacked_inside"] += counts["depth"] > 0
+        return stacked(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "_numeric_jacobian", traced_jacobian)
+    monkeypatch.setattr(cqed, "simulate_maser", traced_single)
+    monkeypatch.setattr(cqed, "simulate_photon_stack", traced_stacked)
+    res = fit_maser_parameters(trace, fixed, truth)
+    assert np.all(np.abs(res.params / truth - 1.0) < 0.02)
+    assert counts["jacobians"] >= 2
+    assert counts["stacked_inside"] == counts["jacobians"]
+    assert counts["single_inside"] == 0
+
+
+def reflect_moving_average(x, w):
+    """Reference: reflect-padded moving average over an odd width w."""
+    half = w // 2
+    pad = np.r_[x[half:0:-1], x, x[-2:-half - 2:-1]]
+    return np.convolve(pad, np.ones(w) / w, mode="valid")
+
+
+@pytest.mark.parametrize("t_max", [15e-6, 12.5e-6])    # odd and even raw widths
+def test_smoothing_helper_is_bit_identical_for_both_callers(t_max):
+    trace, _ = maser_burst(t_max=t_max, noise_rms_log10=0.02, seed=3)
+    t, y = trace.t, trace.y
+    raw = max(3, int(round(fitting.ENVELOPE_SMOOTH_SPAN / (t[1] - t[0]))))
+    w = raw if raw % 2 == 1 else raw + 1
+
+    expected = reflect_moving_average(np.log10(np.maximum(y, 1e-300)), w)
+    assert np.array_equal(fitting._smooth_log10(y, raw), expected)
+
+    ln = np.log(np.maximum(y, 1e-300))
+    smooth = reflect_moving_average(ln, w)
+    i_peak = int(np.argmax(ln))
+    sel = (t > t[i_peak] + fitting.ENVELOPE_FIT_START) & (
+        t < min(t[i_peak] + fitting.ENVELOPE_FIT_STOP, t[-1]))
+    slope = float(np.polyfit(t[sel], smooth[sel], 1)[0])
+    assert fitting._measure_envelope_slope(t, y) == slope
 
 
 def test_maser_fit_validates_inputs():
