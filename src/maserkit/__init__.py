@@ -27,7 +27,6 @@ from .cqed import (
     cooperativity,
     count_oscillations,
     extract_rabi_frequency,
-    maser_rhs,
     predicted_rabi,
     simulate_maser,
 )

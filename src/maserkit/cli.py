@@ -20,15 +20,9 @@ import jsonschema
 
 from . import __version__, cavity, cqed, fitting, spectro, synthetic, triplet, units
 from .errors import MaserkitError, NumericalError, UserInputError
-from .trace import read_trace_csv, write_trace_csv
+from .trace import read_columns, read_trace_csv, write_columns, write_trace_csv
 
 OUTPUT_DIR_ENV = "MASERKIT_OUTPUT_DIR"
-
-SUBCOMMANDS = (
-    "simulate-triplet", "fit-trepr", "qcircle", "thermal-photons",
-    "convert-power", "simulate-maser", "fit-maser", "cooperativity",
-    "rabi", "svd-tas", "fit-tcspc", "quantum-yield", "gen-synthetic",
-)
 
 
 @dataclass
@@ -94,24 +88,24 @@ def _angular_rate(value, is_angular_quoted):
 
 
 def _load_json_file(path):
+    """The JSON object in a parameter file; any other top level is refused."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            document = json.load(fh)
     except FileNotFoundError as exc:
         raise UserInputError(f"parameter file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UserInputError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(document, dict):
+        raise UserInputError(
+            f"{path}: expected a JSON object, got {type(document).__name__}")
+    return document
 
 
 def _require_keys(params, keys, where):
     missing = [k for k in keys if k not in params]
     if missing:
         raise UserInputError(f"{where}: missing keys {missing}")
-
-
-def _out_path(args, default_name):
-    name = args.out if getattr(args, "out", None) else default_name
-    return os.path.join(args.output_dir, name)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +124,7 @@ def _cmd_simulate_triplet(args, manifest):
     am, ap = triplet.eigenrates(model)
 
     csv_path = os.path.join(args.output_dir, "triplet_trajectory.csv")
-    data = np.column_stack([t * 1e6, n_x, n_z, n_x - n_z])
-    np.savetxt(csv_path, data, fmt="%.17g", delimiter=",",
-               header="t_us,n_x,n_z,difference", comments="")
+    write_columns(csv_path, "t_us,n_x,n_z,difference", [t * 1e6, n_x, n_z, n_x - n_z])
     if args.plot_script:
         _write_plot_script(csv_path, 3)
 
@@ -169,7 +161,7 @@ def _cmd_fit_trepr(args, manifest):
 def _cmd_qcircle(args, manifest):
     results = {}
     if args.s11:
-        raw = np.loadtxt(args.s11, delimiter=",", skiprows=1, ndmin=2)
+        _, raw = read_columns(args.s11)
         if raw.shape[1] != 3:
             raise UserInputError(f"{args.s11}: expected columns f_Hz,re_S11,im_S11")
         center, radius, diameter = cavity.fit_reflection_circle(raw[:, 1], raw[:, 2])
@@ -243,22 +235,16 @@ def _maser_params_from_args(args):
         if unknown:
             raise UserInputError(f"{args.params}: unknown keys {sorted(unknown)}")
         values.update(file_values)
-    if args.ge_hz is not None:
-        values["g_e"] = _angular_rate(args.ge_hz, args.ge_angular)
-    if args.kappa_s_hz is not None:
-        values["kappa_s"] = _angular_rate(args.kappa_s_hz, args.kappa_s_angular)
-    if args.kappa_c is not None:
-        values["kappa_c"] = _angular_rate(args.kappa_c, args.kappa_c_angular)
-    if args.gamma is not None:
-        values["gamma"] = args.gamma
-    if args.n_spins is not None:
-        values["n_spins"] = args.n_spins
-    if args.n_bar is not None:
-        values["n_bar"] = args.n_bar
-    if args.inversion0 is not None:
-        values["inversion0"] = args.inversion0
-    if args.delta is not None:
-        values["delta"] = args.delta
+    # (parameter, value flag, flag marking 2 pi x quoting or None)
+    for key, flag, angular in (("g_e", "ge_hz", "ge_angular"),
+                               ("kappa_s", "kappa_s_hz", "kappa_s_angular"),
+                               ("kappa_c", "kappa_c", "kappa_c_angular"),
+                               ("gamma", "gamma", None), ("n_spins", "n_spins", None),
+                               ("n_bar", "n_bar", None), ("inversion0", "inversion0", None),
+                               ("delta", "delta", None)):
+        value = getattr(args, flag)
+        if value is not None:
+            values[key] = _angular_rate(value, angular is not None and getattr(args, angular))
     return values
 
 
@@ -280,14 +266,11 @@ def _cmd_simulate_maser(args, manifest):
                                rtol=args.rtol, atol=args.atol, n_points=n_points)
 
     csv_path = os.path.join(args.output_dir, "maser_trajectory.csv")
-    data = np.column_stack([
-        traj.t * 1e6, traj.photon_number,
-        traj.coherence.real, traj.coherence.imag,
-        traj.inversion, traj.spin_correlation / params.n_spins,
-    ])
-    np.savetxt(csv_path, data, fmt="%.17g", delimiter=",",
-               header="t_us,photon_number,re_coherence,im_coherence,"
-                      "inversion,spin_correlation_per_N", comments="")
+    write_columns(csv_path, "t_us,photon_number,re_coherence,im_coherence,"
+                            "inversion,spin_correlation_per_N",
+                  [traj.t * 1e6, traj.photon_number,
+                   traj.coherence.real, traj.coherence.imag,
+                   traj.inversion, traj.spin_correlation / params.n_spins])
     if args.plot_script:
         _write_plot_script(csv_path, 1, logscale=True)
 
@@ -396,15 +379,10 @@ def _cmd_svd_tas(args, manifest):
     component_files = []
     for i in range(result.significant_count):
         spec_path = os.path.join(args.output_dir, f"component_{i + 1}_spectrum.csv")
-        with open(spec_path, "w") as fh:
-            fh.write("lambda_nm,value\n")
-            for w, v in zip(matrix.wavelengths, result.spectral_components[i]):
-                fh.write(f"{w:.17g},{v:.17g}\n")
+        write_columns(spec_path, "lambda_nm,value",
+                      [matrix.wavelengths, result.spectral_components[i]])
         time_path = os.path.join(args.output_dir, f"component_{i + 1}_time.csv")
-        with open(time_path, "w") as fh:
-            fh.write("delay_ps,value\n")
-            for d, v in zip(matrix.delays, result.time_profiles[i]):
-                fh.write(f"{d:.17g},{v:.17g}\n")
+        write_columns(time_path, "delay_ps,value", [matrix.delays, result.time_profiles[i]])
         component_files.extend([spec_path, time_path])
     results = {
         "singular_values": [float(s) for s in result.singular_values],
@@ -446,47 +424,35 @@ def _cmd_gen_synthetic(args, manifest):
     manifest.seed = args.seed
     overrides = _load_json_file(args.params) if args.params else None
     prefix = args.prefix or args.kind.replace("-", "_")
-    written = []
+    noise = args.noise
+    write = write_trace_csv
     if args.kind == "biexp-trepr":
-        noise = args.noise if args.noise is not None else 0.0
-        trace, meta = synthetic.biexp_trepr(overrides, noise_rms=noise, seed=args.seed)
-        data_path = os.path.join(args.output_dir, f"{prefix}.csv")
-        write_trace_csv(data_path, trace)
-        written.append(data_path)
+        data, meta = synthetic.biexp_trepr(
+            overrides, noise_rms=0.0 if noise is None else noise, seed=args.seed)
     elif args.kind == "maser-burst":
-        noise = args.noise if args.noise is not None else 0.0
-        trace, meta = synthetic.maser_burst(overrides, noise_rms_log10=noise,
-                                            seed=args.seed)
-        data_path = os.path.join(args.output_dir, f"{prefix}.csv")
-        write_trace_csv(data_path, trace)
-        written.append(data_path)
+        data, meta = synthetic.maser_burst(
+            overrides, noise_rms_log10=0.0 if noise is None else noise, seed=args.seed)
     elif args.kind == "rank2-tas":
-        noise = args.noise if args.noise is not None else 0.01
-        matrix, meta = synthetic.rank2_tas(overrides, noise_frac=noise, seed=args.seed)
-        data_path = os.path.join(args.output_dir, f"{prefix}.csv")
-        spectro.write_matrix_csv(data_path, matrix)
-        written.append(data_path)
-    elif args.kind == "tcspc":
-        poisson = args.noise is None or args.noise > 0
-        trace, meta = synthetic.tcspc_decay(overrides, poisson=poisson, seed=args.seed)
-        data_path = os.path.join(args.output_dir, f"{prefix}.csv")
-        write_trace_csv(data_path, trace)
-        written.append(data_path)
-    else:
-        raise UserInputError(f"unknown kind {args.kind!r}")
+        data, meta = synthetic.rank2_tas(
+            overrides, noise_frac=0.01 if noise is None else noise, seed=args.seed)
+        write = spectro.write_matrix_csv
+    else:   # tcspc: argparse choices admit no other kind
+        data, meta = synthetic.tcspc_decay(
+            overrides, poisson=noise is None or noise > 0, seed=args.seed)
+    data_path = os.path.join(args.output_dir, f"{prefix}.csv")
+    write(data_path, data)
     if args.plot_script:
-        _write_plot_script(written[0], 1, logscale=(args.kind == "maser-burst"))
-    results = {"kind": args.kind, "files": written, "generating_parameters": meta}
-    return results, f"wrote {', '.join(written)}"
+        _write_plot_script(data_path, 1, logscale=(args.kind == "maser-burst"))
+    results = {"kind": args.kind, "files": [data_path], "generating_parameters": meta}
+    return results, f"wrote {data_path}"
 
 
 # ---------------------------------------------------------------------------
 # parser construction
 
 
-def _add_angular_pair(parser, stem, help_base, value_flag=None):
-    value_flag = value_flag or f"--{stem}-hz"
-    parser.add_argument(value_flag, type=float, default=None, help=help_base)
+def _add_angular_pair(parser, stem, help_base):
+    parser.add_argument(f"--{stem}-hz", type=float, default=None, help=help_base)
     parser.add_argument(f"--{stem}-angular", action="store_true",
                         help=f"the {stem} value is quoted as 2 pi x that number")
 
@@ -506,24 +472,26 @@ def build_parser():
     common.add_argument("--plot-script", action="store_true",
                         help="also write a gnuplot script for CSV outputs")
 
-    def add(name, help_text):
+    def add(name, help_text, handler):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("--version", action="version",
                        version=f"maserkit {__version__}")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("simulate-triplet", "closed-form triplet sublevel trajectory")
+    p = add("simulate-triplet", "closed-form triplet sublevel trajectory",
+            _cmd_simulate_triplet)
     p.add_argument("--params", required=True, help="JSON with rates and populations")
     p.add_argument("--t-max-us", type=float, default=20.0)
     p.add_argument("--points", type=int, default=800)
 
-    p = add("fit-trepr", "biexponential fit of an EPR difference trace")
+    p = add("fit-trepr", "biexponential fit of an EPR difference trace", _cmd_fit_trepr)
     p.add_argument("trace", help="two-column CSV (t_us,value)")
     p.add_argument("--unit", default="dimensionless")
     p.add_argument("--init", type=float, nargs=4, default=None,
                    metavar=("A", "B", "ALPHA_MINUS", "ALPHA_PLUS"))
 
-    p = add("qcircle", "coupling and Q factors from Q-circle geometry")
+    p = add("qcircle", "coupling and Q factors from Q-circle geometry", _cmd_qcircle)
     p.add_argument("--d", type=float, default=None, help="Q-circle diameter")
     p.add_argument("--d2", type=float, default=None,
                    help="auxiliary circle diameter (lossy case)")
@@ -534,11 +502,12 @@ def build_parser():
     p.add_argument("--f-high", type=float, default=None)
     p.add_argument("--k2", type=float, default=0.0, help="second port coupling")
 
-    p = add("thermal-photons", "Bose-Einstein occupancy of a mode")
+    p = add("thermal-photons", "Bose-Einstein occupancy of a mode", _cmd_thermal_photons)
     p.add_argument("--f", type=float, required=True, help="frequency Hz")
     p.add_argument("--temp", type=float, required=True, help="temperature K")
 
-    p = add("convert-power", "emitted power to intracavity photon number")
+    p = add("convert-power", "emitted power to intracavity photon number",
+            _cmd_convert_power)
     p.add_argument("--dbm", type=float, default=None)
     p.add_argument("--watts", type=float, default=None)
     p.add_argument("--trace", default=None, help="CSV trace to convert")
@@ -549,7 +518,7 @@ def build_parser():
     p.add_argument("--kappa-c-angular", action="store_true")
     p.add_argument("--f", type=float, required=True)
 
-    p = add("simulate-maser", "mean-field maser burst simulation")
+    p = add("simulate-maser", "mean-field maser burst simulation", _cmd_simulate_maser)
     p.add_argument("--params", default=None, help="JSON parameter file")
     _add_angular_pair(p, "ge", "spin-photon coupling")
     _add_angular_pair(p, "kappa-s", "spin dephasing rate")
@@ -565,7 +534,7 @@ def build_parser():
     p.add_argument("--rtol", type=float, default=cqed.DEFAULT_RTOL)
     p.add_argument("--atol", type=float, default=cqed.DEFAULT_ATOL)
 
-    p = add("fit-maser", "fit (g_e, kappa_s, N) to a photon burst")
+    p = add("fit-maser", "fit (g_e, kappa_s, N) to a photon burst", _cmd_fit_maser)
     p.add_argument("trace", help="photon-number CSV")
     p.add_argument("--fixed", default=None,
                    help="JSON with kappa_c, gamma, n_bar, inversion0, delta")
@@ -576,32 +545,35 @@ def build_parser():
     p.add_argument("--baseline-correct", action="store_true",
                    help="shift the pre-burst level to n_bar before fitting")
 
-    p = add("cooperativity", "C = 4 g_e^2/(kappa_c kappa_s)")
+    p = add("cooperativity", "C = 4 g_e^2/(kappa_c kappa_s)", _cmd_cooperativity)
     _add_angular_pair(p, "ge", "spin-photon coupling")
     p.add_argument("--kappa-c", type=float, required=True)
     p.add_argument("--kappa-c-angular", action="store_true")
     _add_angular_pair(p, "kappa-s", "spin dephasing rate")
 
-    p = add("rabi", "predict (from g_e) or extract (from a trace) the Rabi frequency")
+    p = add("rabi", "predict (from g_e) or extract (from a trace) the Rabi frequency",
+            _cmd_rabi)
     _add_angular_pair(p, "ge", "spin-photon coupling")
     p.add_argument("--trace", default=None, help="photon-number CSV")
     p.add_argument("--window-lo-us", type=float, default=None)
     p.add_argument("--window-hi-us", type=float, default=None)
 
-    p = add("svd-tas", "SVD global analysis of a transient-absorption matrix")
+    p = add("svd-tas", "SVD global analysis of a transient-absorption matrix",
+            _cmd_svd_tas)
     p.add_argument("matrix", help="CSV: first row wavelengths, first column delays")
     p.add_argument("--threshold", type=float, default=spectro.DEFAULT_SIGNIFICANCE)
 
-    p = add("fit-tcspc", "multi-exponential tail fit of a counting decay")
+    p = add("fit-tcspc", "multi-exponential tail fit of a counting decay", _cmd_fit_tcspc)
     p.add_argument("trace", help="two-column CSV (t_us,value)")
     p.add_argument("--components", type=int, default=2, choices=(1, 2, 3))
     p.add_argument("--unit", default="photons")
 
-    p = add("quantum-yield", "triplet yield from fluorescence and ISC lifetimes")
+    p = add("quantum-yield", "triplet yield from fluorescence and ISC lifetimes",
+            _cmd_quantum_yield)
     p.add_argument("--tau-f-ns", type=float, required=True)
     p.add_argument("--tau-isc-ns", type=float, required=True)
 
-    p = add("gen-synthetic", "deterministic synthetic datasets")
+    p = add("gen-synthetic", "deterministic synthetic datasets", _cmd_gen_synthetic)
     p.add_argument("--kind", required=True,
                    choices=("biexp-trepr", "maser-burst", "rank2-tas", "tcspc"))
     p.add_argument("--seed", type=int, default=0)
@@ -611,23 +583,6 @@ def build_parser():
     p.add_argument("--prefix", default=None, help="output filename stem")
 
     return parser
-
-
-_HANDLERS = {
-    "simulate-triplet": _cmd_simulate_triplet,
-    "fit-trepr": _cmd_fit_trepr,
-    "qcircle": _cmd_qcircle,
-    "thermal-photons": _cmd_thermal_photons,
-    "convert-power": _cmd_convert_power,
-    "simulate-maser": _cmd_simulate_maser,
-    "fit-maser": _cmd_fit_maser,
-    "cooperativity": _cmd_cooperativity,
-    "rabi": _cmd_rabi,
-    "svd-tas": _cmd_svd_tas,
-    "fit-tcspc": _cmd_fit_tcspc,
-    "quantum-yield": _cmd_quantum_yield,
-    "gen-synthetic": _cmd_gen_synthetic,
-}
 
 
 def main(argv=None):
@@ -662,23 +617,16 @@ def main(argv=None):
         if value:
             manifest.inputs.append(value)
 
-    handler = _HANDLERS[args.subcommand]
     try:
-        results, headline = handler(args, manifest)
-    except UserInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        results, headline = args.handler(args, manifest)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except MaserkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MaserkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    json_path = _out_path(args, f"{args.subcommand}.json")
+    json_path = os.path.join(args.output_dir, args.out or f"{args.subcommand}.json")
     write_result_json(json_path, manifest, results)
     if headline:
         print(headline)

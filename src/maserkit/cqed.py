@@ -109,23 +109,6 @@ class MaserState:
         return self
 
 
-def maser_rhs(state, params):
-    """Time derivative of every expectation value, as a MaserState."""
-    n = state.photon_number
-    c = complex(state.coherence)
-    sz = state.inversion
-    ss = state.spin_correlation
-    p = params
-    im_c = c.imag
-    dn = -p.kappa_c * n + p.kappa_c * p.n_bar - 2.0 * p.g_e * im_c
-    half_width = 0.5 * (p.kappa_c + p.gamma + p.kappa_s)
-    bracket = 0.5 * (sz + 1.0) + (1.0 - 1.0 / p.n_spins) * ss + n * sz
-    dc = -(half_width + 1j * p.delta) * c - 1j * p.g_e * bracket
-    dsz = -p.gamma * sz + (4.0 * p.g_e / p.n_spins) * im_c
-    dss = -(p.gamma + p.kappa_s) * ss - 2.0 * p.g_e * sz * im_c
-    return MaserState(dn, dc, dsz, dss)
-
-
 def _scaled_rhs(t, y, p):
     # State scaled by N: y = (n/N, Re c/N, Im c/N, sz, ss/N).
     n, cr, ci, sz, ss = y

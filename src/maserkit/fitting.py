@@ -181,6 +181,21 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
     converged = False
     stalled = False
 
+    def accept(step):
+        """Move to p + step if that lowers the cost; True when the step is taken."""
+        nonlocal p, r, cost, converged
+        p_trial = _clip_to_bounds(p + step, problem.bounds)
+        r_trial = resid(p_trial)
+        cost_trial = float(r_trial @ r_trial)
+        if not cost_trial < cost:
+            return False
+        rel_param = float(np.max(np.abs(p_trial - p) / np.maximum(np.abs(p), 1e-30)))
+        rel_resid = abs(cost - cost_trial) / max(cost, 1e-300)
+        p, r, cost = p_trial, r_trial, cost_trial
+        converged = (rel_param < REL_PARAM_TOL or rel_resid < REL_RESID_TOL
+                     or cost <= cost_floor)
+        return True
+
     for _ in range(max_iterations):
         iterations += 1
         J = jacobian_at(p)
@@ -202,18 +217,7 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
             gn_step = None
         if gn_step is not None and (max_step is None
                                     or np.max(np.abs(gn_step)) <= max_step):
-            p_trial = _clip_to_bounds(p + gn_step, problem.bounds)
-            r_trial = resid(p_trial)
-            cost_trial = float(r_trial @ r_trial)
-            if cost_trial < cost:
-                rel_param = float(np.max(np.abs(p_trial - p)
-                                         / np.maximum(np.abs(p), 1e-30)))
-                rel_resid = abs(cost - cost_trial) / max(cost, 1e-300)
-                p, r, cost = p_trial, r_trial, cost_trial
-                accepted = True
-                if (rel_param < REL_PARAM_TOL or rel_resid < REL_RESID_TOL
-                        or cost <= cost_floor):
-                    converged = True
+            accepted = accept(gn_step)
         while not accepted and lam <= lam0 * LAMBDA_MAX_GROWTH:
             try:
                 step = np.linalg.solve(JtJ + lam * np.eye(len(p)), -grad)
@@ -223,20 +227,8 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
             if max_step is not None and np.max(np.abs(step)) > max_step:
                 lam *= LAMBDA_GROW
                 continue
-            p_trial = _clip_to_bounds(p + step, problem.bounds)
-            r_trial = resid(p_trial)
-            cost_trial = float(r_trial @ r_trial)
-            if cost_trial < cost:
-                rel_param = float(np.max(np.abs(p_trial - p) / np.maximum(np.abs(p), 1e-30)))
-                rel_resid = abs(cost - cost_trial) / max(cost, 1e-300)
-                p, r, cost = p_trial, r_trial, cost_trial
-                lam = max(lam / LAMBDA_SHRINK, 1e-14)
-                accepted = True
-                if (rel_param < REL_PARAM_TOL or rel_resid < REL_RESID_TOL
-                        or cost <= cost_floor):
-                    converged = True
-                break
-            lam *= LAMBDA_GROW
+            accepted = accept(step)
+            lam = max(lam / LAMBDA_SHRINK, 1e-14) if accepted else lam * LAMBDA_GROW
         if not accepted:
             stalled = True
             break
@@ -527,15 +519,17 @@ def _log_param_models(fixed, t_grid, row_map=None):
 
     model simulates one burst with simulate_maser; model_batch simulates
     all its points with _simulate_each.  row_map, if given, transforms
-    each simulated photon trace.  A failed simulation gives a row of
-    1e300, penalized rather than fatal, to push the optimizer away.
+    each simulated photon trace.  A failed simulation gives a photon
+    trace of 1e300, penalized rather than fatal, to push the optimizer
+    away; row_map sees it as it sees a real trace, so a log10 row_map
+    turns it into 300 and the cost stays finite.
     """
     def physical(p):
         return 10.0 ** p[0], 10.0 ** p[1], 10.0 ** p[2]
 
     def finish(y):
         if y is None:
-            return np.full(len(t_grid), 1e300)
+            y = np.full(len(t_grid), 1e300)
         return y if row_map is None else row_map(y)
 
     def model(p):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .trace import TimeTrace
+from .trace import CSV_FLOAT_FMT, TimeTrace, read_columns, write_columns
 from . import fitting
 
 DEFAULT_SIGNIFICANCE = 0.10
@@ -226,29 +226,20 @@ MATRIX_CORNER = "delay_ps"
 
 def write_matrix_csv(path, matrix):
     """Write a SpectrumMatrix; rows are delays, columns wavelengths."""
-    with open(path, "w") as fh:
-        fh.write(MATRIX_CORNER + "," +
-                 ",".join("%.17g" % w for w in matrix.wavelengths) + "\n")
-        for i, d in enumerate(matrix.delays):
-            row = matrix.delta_a[:, i]
-            fh.write("%.17g," % d + ",".join("%.17g" % v for v in row) + "\n")
+    header = ",".join([MATRIX_CORNER, *(CSV_FLOAT_FMT % w for w in matrix.wavelengths)])
+    write_columns(path, header, [matrix.delays, *matrix.delta_a])
 
 
 def read_matrix_csv(path):
     """Read the matrix CSV format written by write_matrix_csv."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        parts = header.split(",")
-        if len(parts) < 3:
-            raise InvalidInputError(f"{path}: matrix header needs >= 2 wavelengths")
-        try:
-            wavelengths = np.array([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: malformed wavelength header ({exc})") from exc
-        try:
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: malformed matrix body ({exc})") from exc
+    header, body = read_columns(path)
+    parts = header.split(",")
+    if len(parts) < 3:
+        raise InvalidInputError(f"{path}: matrix header needs >= 2 wavelengths")
+    try:
+        wavelengths = np.array([float(v) for v in parts[1:]])
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: malformed wavelength header ({exc})") from exc
     if body.shape[1] != len(wavelengths) + 1:
         raise InvalidInputError(
             f"{path}: row length {body.shape[1]} does not match header")

@@ -1,10 +1,14 @@
-"""Unit-tagged time series container and its CSV representation.
+"""Unit-tagged time series container and the package's CSV table format.
 
-The CSV format is two columns with header ``t_us,value``; times are
-written in microseconds (the natural plotting unit for these
-experiments) and converted back to seconds on read.  Values are printed
-with 17 significant digits so a write/read cycle is lossless for double
-precision.
+Every CSV file the package writes or reads is one comma-separated table:
+a single header line, no comment character, and rows of values printed
+to 17 significant digits, so a write/read cycle is lossless for double
+precision.  write_columns and read_columns are the
+one writer and the one reader of that format.
+
+A TimeTrace is stored as two columns with header ``t_us,value``; times
+are written in microseconds (the natural plotting unit for these
+experiments) and converted back to seconds on read.
 """
 
 from dataclasses import dataclass
@@ -73,11 +77,29 @@ class TimeTrace:
         return TimeTrace(self.t, y, self.unit if unit is None else unit)
 
 
+def write_columns(path, header, columns):
+    """Write equal-length 1-D columns as a CSV table under one header line."""
+    np.savetxt(path, np.column_stack(columns), fmt=CSV_FLOAT_FMT, delimiter=",",
+               header=header, comments="")
+
+
+def read_columns(path):
+    """(header line, 2-D float array) of a CSV table written by write_columns.
+
+    Non-numeric cells and unreadable text raise InvalidInputError.
+    """
+    with open(path) as fh:
+        try:
+            header = fh.readline().strip()
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: malformed CSV ({exc})") from exc
+    return header, data
+
+
 def write_trace_csv(path, trace):
     """Write a TimeTrace to CSV (t in microseconds, 17 significant digits)."""
-    data = np.column_stack([trace.t * 1e6, trace.y])
-    np.savetxt(path, data, fmt=CSV_FLOAT_FMT, delimiter=",",
-               header=CSV_HEADER, comments="")
+    write_columns(path, CSV_HEADER, [trace.t * 1e6, trace.y])
 
 
 def read_trace_csv(path, unit="dimensionless"):
@@ -86,15 +108,10 @@ def read_trace_csv(path, unit="dimensionless"):
     The unit tag cannot be stored in the CSV itself, so the caller
     declares it (CLI does this with a flag).
     """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != CSV_HEADER:
-            raise InvalidInputError(
-                f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: malformed CSV ({exc})") from exc
+    header, data = read_columns(path)
+    if header.replace(" ", "") != CSV_HEADER:
+        raise InvalidInputError(
+            f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
     if data.shape[1] != 2:
         raise InvalidInputError(f"{path}: expected 2 columns, got {data.shape[1]}")
     return TimeTrace(data[:, 0] * 1e-6, data[:, 1], unit)

@@ -59,11 +59,3 @@ def ordinary_to_angular(f_hz):
 def angular_to_ordinary(omega):
     """Inverse of ordinary_to_angular."""
     return omega / TWO_PI
-
-
-def us_to_seconds(t_us):
-    return t_us * 1e-6
-
-
-def seconds_to_us(t_s):
-    return t_s * 1e6

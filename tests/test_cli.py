@@ -146,11 +146,14 @@ def test_gen_synthetic_then_fit_trepr(tmp_path):
 
 
 def test_gen_synthetic_is_deterministic(tmp_path):
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    for d in (d1, d2):
-        code, _ = run(d, "gen-synthetic", "--kind", "tcspc", "--seed", "12")
-        assert code == 0
-    assert (d1 / "tcspc.csv").read_bytes() == (d2 / "tcspc.csv").read_bytes()
+    for kind in ("biexp-trepr", "maser-burst", "rank2-tas", "tcspc"):
+        d1, d2 = tmp_path / kind / "a", tmp_path / kind / "b"
+        for d in (d1, d2):
+            code, _ = run(d, "gen-synthetic", "--kind", kind, "--seed", "12",
+                          "--noise", "0.01")
+            assert code == 0
+        name = kind.replace("-", "_") + ".csv"
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 def test_svd_tas_pipeline(tmp_path):
@@ -196,3 +199,25 @@ def test_output_dir_env_variable(tmp_path, monkeypatch):
     code = cli.main(["thermal-photons", "--f", "1.476e9", "--temp", "290"])
     assert code == 0
     assert (tmp_path / "thermal-photons.json").exists()
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["fit-maser", "{trace}", "--fixed", "{doc}"], '["kappa_c", "gamma"]'),
+    (["gen-synthetic", "--kind", "biexp-trepr", "--params", "{doc}"], '["A"]'),
+    (["simulate-triplet", "--params", "{doc}"],
+     '["k_x", "k_z", "w_xz", "n_x0", "n_y0", "n_z0"]'),
+    (["simulate-maser", "--params", "{doc}"], '["g_e"]'),
+    (["qcircle", "--s11", "{doc}"], "f_Hz,re_S11,im_S11\n1,0.5,0.1\n2,oops,0.2\n"),
+], ids=["fit-maser-fixed", "gen-synthetic-params", "simulate-triplet-params",
+        "simulate-maser-params", "qcircle-s11"])
+def test_malformed_input_files_fail_cleanly(tmp_path, capsys, argv, document):
+    doc = tmp_path / "input"
+    doc.write_text(document)
+    trace = tmp_path / "burst.csv"
+    write_trace_csv(trace, TimeTrace(np.linspace(0.0, 1e-5, 40), np.ones(40), "photons"))
+    argv = [a.format(trace=trace, doc=doc) for a in argv]
+    code = cli.main([argv[0], "--output-dir", str(tmp_path), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from maserkit.cqed import (
+    _scaled_rhs,
     MaserState,
     MaserSystemParams,
     cooperativity,
     count_oscillations,
     extract_rabi_frequency,
-    maser_rhs,
     predicted_rabi,
     rabi_discrepancy,
     simulate_maser,
@@ -45,41 +45,46 @@ def lossless_params(**overrides):
     return MaserSystemParams(**kw)
 
 
+def scaled_state(photon_number, coherence, inversion, spin_correlation, n_spins):
+    """The N-scaled state vector that both integrators evolve."""
+    return np.array([photon_number / n_spins, coherence.real / n_spins,
+                     coherence.imag / n_spins, inversion, spin_correlation / n_spins])
+
+
 def test_rhs_conserves_excitation_without_losses():
     params = lossless_params()
-    state = MaserState(photon_number=3e13, coherence=1e12 + 4e11j,
-                       inversion=0.3, spin_correlation=2e13)
-    d = maser_rhs(state, params)
-    total_rate = d.photon_number + 0.5 * params.n_spins * d.inversion
-    scale = abs(d.photon_number) + 1.0
-    assert abs(total_rate) < 1e-12 * scale
+    y = scaled_state(3e13, 1e12 + 4e11j, 0.3, 2e13, params.n_spins)
+    dn, _, _, dsz, _ = _scaled_rhs(0.0, y, params)
+    # d/dt (n/N + sz/2) = 0: <a+a> + (N/2) <Sz> is conserved
+    assert abs(dn + 0.5 * dsz) < 1e-12 * (abs(dn) + 1.0 / params.n_spins)
 
 
 def test_rhs_decouples_at_zero_coupling():
     params = MaserSystemParams(g_e=0.0, kappa_c=2.5e6, kappa_s=1.8e6,
                                gamma=2e5, delta=0.0, n_spins=1e14, n_bar=4097.0)
-    state = MaserState(photon_number=1e4, coherence=3e3 + 2e3j,
-                       inversion=0.4, spin_correlation=5e3)
-    d = maser_rhs(state, params)
-    assert d.photon_number == pytest.approx(
-        -params.kappa_c * state.photon_number + params.kappa_c * params.n_bar, rel=1e-12)
-    assert d.inversion == pytest.approx(-params.gamma * state.inversion, rel=1e-12)
-    assert d.spin_correlation == pytest.approx(
-        -(params.gamma + params.kappa_s) * state.spin_correlation, rel=1e-12)
+    y = scaled_state(1e4, 3e3 + 2e3j, 0.4, 5e3, params.n_spins)
+    n, cr, ci, sz, ss = y
+    dn, dcr, dci, dsz, dss = _scaled_rhs(0.0, y, params)
+    assert dn == pytest.approx(
+        -params.kappa_c * n + params.kappa_c * params.n_bar / params.n_spins, rel=1e-12)
+    assert dsz == pytest.approx(-params.gamma * sz, rel=1e-12)
+    assert dss == pytest.approx(-(params.gamma + params.kappa_s) * ss, rel=1e-12)
     half = 0.5 * (params.kappa_c + params.gamma + params.kappa_s)
-    assert d.coherence == pytest.approx(-half * state.coherence, rel=1e-12)
+    assert dcr == pytest.approx(-half * cr, rel=1e-12)
+    assert dci == pytest.approx(-half * ci, rel=1e-12)
 
 
 def test_rhs_thermal_state_is_fixed_point_at_zero_coupling():
     params = MaserSystemParams(g_e=0.0, kappa_c=2.5e6, kappa_s=1.8e6,
                                gamma=2e5, delta=0.0, n_spins=1e14, n_bar=4097.0)
-    state = MaserState(photon_number=4097.0, coherence=0.0,
-                       inversion=0.0, spin_correlation=0.0)
-    d = maser_rhs(state, params)
-    assert abs(d.photon_number) < 1e-9
-    assert d.coherence == 0.0
-    assert d.inversion == 0.0
-    assert d.spin_correlation == 0.0
+    y = scaled_state(4097.0, 0j, 0.0, 0.0, params.n_spins)
+    dn, dcr, dci, dsz, dss = _scaled_rhs(0.0, y, params)
+    # the decay and the thermal feed cancel to rounding
+    assert abs(dn) < 1e-14 * params.kappa_c * y[0]
+    assert dcr == 0.0
+    assert dci == 0.0
+    assert dsz == 0.0
+    assert dss == 0.0
 
 
 def test_simulation_conserves_total_excitation_when_lossless():

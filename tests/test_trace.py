@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maserkit.errors import InvalidInputError, UnitMismatchError
+from maserkit.spectro import SpectrumMatrix, write_matrix_csv
 from maserkit.trace import TimeTrace, read_trace_csv, write_trace_csv
 
 
@@ -79,3 +80,27 @@ def test_csv_time_column_is_microseconds(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t_us,value"
     assert float(lines[2].split(",")[0]) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_trace_csv_text_is_pinned(tmp_path):
+    # one header line, no comment character, %.17g, "\n" line ends
+    tr = TimeTrace(np.array([0.0, 1e-6, 2.5e-6]), np.array([0.1, -2.0, 3e20]), "volts")
+    path = tmp_path / "pinned.csv"
+    write_trace_csv(path, tr)
+    assert path.read_bytes() == (
+        b"t_us,value\n"
+        b"0,0.10000000000000001\n"
+        b"1,-2\n"
+        b"2.5,3e+20\n")
+
+
+def test_matrix_csv_text_is_pinned(tmp_path):
+    # rows are delays, columns wavelengths, delay_ps in the corner cell
+    matrix = SpectrumMatrix(wavelengths=[400.0, 410.5, 420.0], delays=[-1.0, 0.1],
+                            delta_a=[[1.0, 2.0], [0.25, -3e-5], [0.0, 7.0]])
+    path = tmp_path / "pinned_matrix.csv"
+    write_matrix_csv(path, matrix)
+    assert path.read_bytes() == (
+        b"delay_ps,400,410.5,420\n"
+        b"-1,1,0.25,0\n"
+        b"0.10000000000000001,2,-3.0000000000000001e-05,7\n")

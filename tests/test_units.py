@@ -45,8 +45,3 @@ def test_angular_conversion():
         2.3e6, rel=1e-15)
     with pytest.raises(InvalidInputError):
         units.ordinary_to_angular(-1.0)
-
-
-def test_time_conversion():
-    assert units.us_to_seconds(1.0) == 1e-6
-    assert units.seconds_to_us(2.5e-6) == pytest.approx(2.5, rel=1e-15)
