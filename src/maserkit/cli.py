@@ -602,7 +602,6 @@ def main(argv=None):
 
     if args.output_dir is None:
         args.output_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
-    os.makedirs(args.output_dir, exist_ok=True)
 
     manifest = RunManifest(
         subcommand=args.subcommand,
@@ -618,7 +617,10 @@ def main(argv=None):
             manifest.inputs.append(value)
 
     try:
+        os.makedirs(args.output_dir, exist_ok=True)
         results, headline = args.handler(args, manifest)
+        json_path = os.path.join(args.output_dir, args.out or f"{args.subcommand}.json")
+        write_result_json(json_path, manifest, results)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -626,8 +628,6 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    json_path = os.path.join(args.output_dir, args.out or f"{args.subcommand}.json")
-    write_result_json(json_path, manifest, results)
     if headline:
         print(headline)
     return 0

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from . import cqed
 from .errors import InvalidInputError, ModelEvaluationError, NumericalError
@@ -238,6 +237,8 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
     if stalled and not converged and cost > 0:
         # LM damping underflowed the trust region; try a simplex walk
         # from the current point (deterministic)
+        from scipy.optimize import minimize
+
         def scalar_cost(q):
             try:
                 rv = resid(_clip_to_bounds(q, problem.bounds))
@@ -562,6 +563,8 @@ def _feature_initialize(t, y_data, init, fixed, simulate):
     peak_data = float(np.max(y_data))
     if lam_data is None or slope_data is None or lam_data <= 0:
         return g_e, kappa_s, n_spins    # features unusable; keep caller's guess
+
+    from scipy.optimize import brentq
 
     def eig(g):
         return _linear_growth_rate(g, kc, kappa_s, gamma, inv0)

@@ -92,7 +92,10 @@ def _fit_mono_exponential_profile(delays, profile):
         p0 = np.array([c0, math.log(tau0), offset0])
 
         def model(p):
-            return p[0] * np.exp(-t / math.exp(p[1])) + p[2]
+            # a lifetime that underflows to 0 gives NaN at t = 0, which
+            # ends this start with a ModelEvaluationError
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return p[0] * np.exp(-t / _lifetime(p[1])) + p[2]
 
         problem = fitting.FitProblem(model=model, data=trace, init=p0,
                                      loss_space="linear")
@@ -100,11 +103,20 @@ def _fit_mono_exponential_profile(delays, profile):
             res = fitting.nlls_minimize(problem)
         except NumericalError:
             continue
-        if best is None or res.residual_norm < best.residual_norm:
-            best = res
+        tau = _lifetime(res.params[1])
+        if math.isfinite(tau) and (best is None or res.residual_norm < best[0].residual_norm):
+            best = (res, tau)
     if best is None:
         raise NumericalError("mono-exponential profile fit failed")
-    return math.exp(best.params[1])
+    return best[1]
+
+
+def _lifetime(log_tau):
+    """exp(log_tau); inf past the float range, where the model profile is flat."""
+    try:
+        return math.exp(log_tau)
+    except OverflowError:
+        return math.inf
 
 
 def svd_global_analysis(matrix, significance_threshold=DEFAULT_SIGNIFICANCE,

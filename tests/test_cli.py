@@ -221,3 +221,30 @@ def test_malformed_input_files_fail_cleanly(tmp_path, capsys, argv, document):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("output_dir, out", [("taken", "result.json"), (".", "sub")],
+                         ids=["output-dir-is-a-file", "out-is-a-directory"])
+def test_unwritable_output_fails_cleanly(tmp_path, monkeypatch, capsys, output_dir, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "sub").mkdir()
+    code = cli.main(["thermal-photons", "--f", "1.4e9", "--temp", "290",
+                     "--output-dir", output_dir, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_svd_tas_on_noise_components_fails_cleanly(tmp_path, capsys):
+    # at this threshold the noise components are fitted too; one of them
+    # runs off to a lifetime past the float range
+    assert cli.main(["gen-synthetic", "--kind", "rank2-tas", "--seed", "3",
+                     "--output-dir", str(tmp_path)]) == 0
+    code = cli.main(["svd-tas", str(tmp_path / "rank2_tas.csv"), "--threshold", "0.001",
+                     "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code != 0:
+        assert (code, err.split(":")[0]) in ((1, "error"), (2, "numerical failure"))
+        assert err.count("\n") == 1

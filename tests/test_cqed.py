@@ -1,10 +1,19 @@
 import dataclasses
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import maserkit
+from maserkit import cqed
 from maserkit.cqed import (
+    _rhs_coefficients,
     _scaled_rhs,
     MaserState,
     MaserSystemParams,
@@ -17,6 +26,7 @@ from maserkit.cqed import (
     simulate_photon_stack,
 )
 from maserkit.errors import (
+    IntegrationFailureError,
     InvalidInputError,
     NoOscillationError,
     UnitMismatchError,
@@ -54,7 +64,7 @@ def scaled_state(photon_number, coherence, inversion, spin_correlation, n_spins)
 def test_rhs_conserves_excitation_without_losses():
     params = lossless_params()
     y = scaled_state(3e13, 1e12 + 4e11j, 0.3, 2e13, params.n_spins)
-    dn, _, _, dsz, _ = _scaled_rhs(0.0, y, params)
+    dn, _, _, dsz, _ = _scaled_rhs(0.0, y, _rhs_coefficients(params))
     # d/dt (n/N + sz/2) = 0: <a+a> + (N/2) <Sz> is conserved
     assert abs(dn + 0.5 * dsz) < 1e-12 * (abs(dn) + 1.0 / params.n_spins)
 
@@ -64,7 +74,7 @@ def test_rhs_decouples_at_zero_coupling():
                                gamma=2e5, delta=0.0, n_spins=1e14, n_bar=4097.0)
     y = scaled_state(1e4, 3e3 + 2e3j, 0.4, 5e3, params.n_spins)
     n, cr, ci, sz, ss = y
-    dn, dcr, dci, dsz, dss = _scaled_rhs(0.0, y, params)
+    dn, dcr, dci, dsz, dss = _scaled_rhs(0.0, y, _rhs_coefficients(params))
     assert dn == pytest.approx(
         -params.kappa_c * n + params.kappa_c * params.n_bar / params.n_spins, rel=1e-12)
     assert dsz == pytest.approx(-params.gamma * sz, rel=1e-12)
@@ -78,7 +88,7 @@ def test_rhs_thermal_state_is_fixed_point_at_zero_coupling():
     params = MaserSystemParams(g_e=0.0, kappa_c=2.5e6, kappa_s=1.8e6,
                                gamma=2e5, delta=0.0, n_spins=1e14, n_bar=4097.0)
     y = scaled_state(4097.0, 0j, 0.0, 0.0, params.n_spins)
-    dn, dcr, dci, dsz, dss = _scaled_rhs(0.0, y, params)
+    dn, dcr, dci, dsz, dss = _scaled_rhs(0.0, y, _rhs_coefficients(params))
     # the decay and the thermal feed cancel to rounding
     assert abs(dn) < 1e-14 * params.kappa_c * y[0]
     assert dcr == 0.0
@@ -131,6 +141,82 @@ def test_burst_insensitive_to_tolerance_tightening():
     b = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5), t_eval=t_eval, rtol=1e-9)
     pk_a, pk_b = np.max(a.photon_number), np.max(b.photon_number)
     assert pk_a == pytest.approx(pk_b, rel=1e-4)
+
+
+def scipy_rk45(params, init, t_span, t_eval):
+    """Reference: scipy's RK45 on the same RHS and tolerances; (photon number, nfev)."""
+    N = params.n_spins
+    y0 = scaled_state(init.photon_number, complex(init.coherence), init.inversion,
+                      init.spin_correlation, N)
+    sol = solve_ivp(_scaled_rhs, t_span, y0, method="RK45", t_eval=t_eval,
+                    rtol=cqed.DEFAULT_RTOL, atol=cqed.DEFAULT_ATOL,
+                    args=(_rhs_coefficients(params),))
+    assert sol.success
+    return sol.y[0] * N, sol.nfev
+
+
+def test_simulation_takes_scipy_rk45_steps(monkeypatch):
+    # Same method, controller and step sequence: exactly scipy's number of
+    # RHS calls.  The values agree to rounding amplified by the burst: on the
+    # (1.3, 1, 0.7) corner a one-ulp change of the initial inversion alone
+    # moves log10 n by 1e-8, so the bound sits ten times above that and far
+    # below the method's own truncation error, 8e-4 dex.
+    calls = []
+
+    def counted(t, y, c):
+        calls.append(t)
+        return _scaled_rhs(t, y, c)
+
+    monkeypatch.setattr(cqed, "_scaled_rhs", counted)
+    worst = 0.0
+    for fg, fk, fn in itertools.product((0.7, 1.0, 1.3), repeat=3):
+        params = dataclasses.replace(REF_PARAMS, g_e=fg * REF_PARAMS.g_e,
+                                     kappa_s=fk * REF_PARAMS.kappa_s,
+                                     n_spins=fn * REF_PARAMS.n_spins)
+        calls.clear()
+        traj = simulate_maser(params, REF_INIT, (0.0, 1.5e-5))
+        ref, nfev = scipy_rk45(params, REF_INIT, (0.0, 1.5e-5), traj.t)
+        assert len(calls) == nfev, (fg, fk, fn)
+        worst = max(worst, np.max(np.abs(np.log10(traj.photon_number) - np.log10(ref))))
+    assert worst < 1e-7
+
+
+def test_interior_output_grid_integrates_from_span_start():
+    t_eval = np.linspace(4e-6, 9e-6, 50)
+    traj = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.2e-5), t_eval=t_eval)
+    ref, _ = scipy_rk45(REF_PARAMS, REF_INIT, (0.0, 1.2e-5), t_eval)
+    assert np.array_equal(traj.t, t_eval)
+    assert np.max(np.abs(np.log10(traj.photon_number) - np.log10(ref))) < 1e-7
+    with pytest.raises(ValueError):
+        simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.2e-5), t_eval=[1e-6, 2e-5])
+
+
+@pytest.mark.parametrize("overrides", [{"kappa_c": 1e308}, {"n_bar": 1e300}, {"g_e": 1e200}],
+                         ids=["kappa_c", "n_bar", "g_e"])
+def test_arithmetic_failure_is_an_integration_failure(overrides):
+    params = dataclasses.replace(REF_PARAMS, **overrides)
+    with pytest.raises(IntegrationFailureError) as info:
+        simulate_maser(params, REF_INIT, (0.0, 1.5e-5))
+    assert info.value.last_time == 0.0
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import maserkit.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+        "assert maserkit.cli.main(['simulate-maser', '--output-dir', sys.argv[1],\n"
+        "                          '--t-max-us', '2', '--points', '100']) == 0\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n")
+    src = str(Path(maserkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "simulate-maser.json").exists()
 
 
 def test_stacked_members_match_separate_simulations():
