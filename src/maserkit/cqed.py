@@ -17,38 +17,38 @@ so the photon number, inversion, and correlation stay manifestly real.
 When all loss rates and nbar vanish the total excitation
 <a+a> + (N/2) <Sz> is conserved exactly.
 
-There are two integrations of these equations, and both work on the
-state nondimensionalized by N, because the photon number spans eleven
-orders of magnitude over a burst and adaptive error control misbehaves
-on such a spread.
+The equations are integrated on the state nondimensionalized by N,
+because the photon number spans eleven orders of magnitude over a burst
+and adaptive error control misbehaves on such a spread.
 
-simulate_maser integrates one parameter set with the adaptive embedded
-Runge-Kutta 5(4) pair of Dormand and Prince and Shampine's quartic dense
-output, sampled on a uniform grid.  It runs scipy RK45's method in-house
-on Python floats: the same tableau, initial-step rule, error norm,
-step-size controller and minimum step, so it takes the steps and
-right-hand-side calls that solve_ivp(method="RK45") takes, without
-scipy's per-step array overhead, which outweighed the five-state
-right-hand side.  The method must stay because the maser fit's success
-depends on its truncation error: with DOP853 in its place, fits started
-from (kappa_s, N) = 0.7 x truth end 2-4% off while reporting
-convergence.
+There is one integrator, _integrate_rk45: the adaptive embedded
+Runge-Kutta 5(4) pair of Dormand and Prince with Shampine's quartic
+dense output.  It runs scipy RK45's method in-house on Python floats:
+the same tableau, initial-step rule, error norm, step-size controller
+and minimum step, so it takes the steps and right-hand-side calls that
+solve_ivp(method="RK45") takes, without scipy's per-step array overhead,
+which outweighed the five-state right-hand side.  The method must stay
+because the maser fit's success depends on its truncation error: with
+DOP853 in its place, fits started from (kappa_s, N) = 0.7 x truth end
+2-4% off while reporting convergence.
 
-simulate_photon_stack integrates K parameter sets together as one
-5K-state system with the 8th-order Dormand-Prince method DOP853, which
-costs fewer right-hand-side evaluations than RK45 at equal accuracy.
-The members share one step sequence, so the differences between nearby
-members that a finite-difference Jacobian takes carry no step-size
-noise (internal numerical differentiation).  Both integrations evaluate
-the same right-hand side.
+The integrator keeps every accepted step.  simulate_maser samples one
+solve on an output grid.  The maser fit solves with _solve_burst (its
+photon numbers are bit-identical to simulate_maser's) and takes the
+derivatives of log10 n with respect to log10 (g_e, kappa_s, N) from
+that record with _log_photon_sensitivity: a vectorised numpy pass that
+differentiates the Runge-Kutta steps themselves with the step sizes
+held fixed (forward sensitivities with error control on the state only,
+as in CVODES with errconS off; Hindmarsh et al., ACM TOMS 31, 363
+(2005)).  So the Jacobian is exact for the discretization the residual
+uses, and it costs no second integration.
 """
 
 import math
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, fields
-from types import SimpleNamespace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,6 +63,10 @@ from .units import angular_to_ordinary
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-18
 DEFAULT_NPOINTS = 2000
+# Step attempts (accepted and rejected) one solve may take.  The canonical
+# 15 us burst takes about 1,400; rates so large that the step size
+# collapses would otherwise step without end near t = 0.
+MAX_STEPS = 50_000
 
 # Spectral peaks are searched from this FFT bin upward.  The extractor
 # requires at least four oscillation periods in the analysis window, so
@@ -123,7 +127,7 @@ _RhsCoefficients = namedtuple("_RhsCoefficients", (
 
 
 def _rhs_coefficients(p):
-    """Per-solve constants of _scaled_rhs; p holds floats or (K,) arrays."""
+    """Per-solve constants of _scaled_rhs for the parameters p."""
     return _RhsCoefficients(
         kappa_c=p.kappa_c,
         feed=p.kappa_c * p.n_bar / p.n_spins,
@@ -154,11 +158,6 @@ def _scaled_rhs(t, y, c):
     )
 
 
-def _stacked_rhs(t, y, c):
-    # K members stored row-major as (5, K); c holds one (K,) array per constant.
-    return np.concatenate(_scaled_rhs(t, y.reshape(5, -1), c))
-
-
 # Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) with
 # Shampine's quartic dense output (Math. Comp. 46, 135 (1986)), the
 # coefficients of scipy's RK45.  Zero entries are left out.
@@ -186,7 +185,7 @@ _DENSE_P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
-# One dense-output record: t_old, t_new, y_old (5) and the stages k1..k7 (35).
+# One step record: t_old, t_new, y_old (5) and the stages k1..k7 (35).
 _RECORD = 42
 
 
@@ -235,17 +234,20 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
 
     The method, error norm, step-size controller, minimum step and dense
     output are those of scipy's solve_ivp(method="RK45") with max_step
-    unbounded, so the two take the same steps.  Only the steps that pass
-    a t_eval point are recorded, as one flat float array.
+    unbounded, so the two take the same steps.  Returns the record of
+    every accepted step, one flat float array of _RECORD floats per step,
+    which _dense_output turns into the states at t_eval and
+    _log_photon_sensitivity into their derivatives.
 
-    Returns the states at t_eval, shape (len(y0), len(t_eval)).  Raises
-    IntegrationFailureError, carrying the last output time reached, when
-    the step size falls below ten float spacings of t or the arithmetic
-    fails (overflow, division by zero).
+    Raises IntegrationFailureError, carrying the last output time reached,
+    when the step size falls below ten float spacings of t, the arithmetic
+    fails (overflow, division by zero) or MAX_STEPS step attempts do not
+    reach t1.
     """
     t_out = t_eval.tolist()
     record = array("d")
     done = 0
+    attempts = 0
     t, y = t0, y0
     try:
         f = rhs(t, y, c)
@@ -258,6 +260,10 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
                 if not h_abs >= min_step:
                     raise _stalled(t_out, done, t0, "Required step size is less than "
                                    "spacing between numbers.")
+                attempts += 1
+                if attempts > MAX_STEPS:
+                    raise _stalled(t_out, done, t0, f"{MAX_STEPS} step attempts did not reach the "
+                                   "end of the span")
                 t_new = min(t + h_abs, t1)
                 h = t_new - t
                 k1 = f
@@ -288,13 +294,155 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
                     break
                 h_abs = h * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 rejected = True
-            if done < len(t_out) and t_out[done] <= t_new:
-                record.extend((t, t_new, *y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
-                done = bisect_right(t_out, t_new, done)
+            record.extend((t, t_new, *y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+            done = bisect_right(t_out, t_new, done)
             t, y, f = t_new, y_new, k7
     except ArithmeticError as exc:
         raise _stalled(t_out, done, t0, f"arithmetic failure ({exc})") from None
-    return _dense_output(record, t_eval)
+    return record
+
+
+# The stage tableau as one table: row i builds the state of stage i + 1
+# from k1..k6, and the last row (the 5th-order weights) builds y_new,
+# where k7 is evaluated.
+_STAGES = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [_A21, 0, 0, 0, 0, 0],
+    [_A31, _A32, 0, 0, 0, 0],
+    [_A41, _A42, _A43, 0, 0, 0],
+    [_A51, _A52, _A53, _A54, 0, 0],
+    [_A61, _A62, _A63, _A64, _A65, 0],
+    [_B1, 0, _B3, _B4, _B5, _B6]])
+_LN10 = math.log(10.0)
+# Steps per block of the sensitivity pass; bounds its scratch memory.
+_SENSITIVITY_BLOCK = 128
+
+
+def _rhs_derivatives(y, c, kappa_s):
+    """Derivatives of _scaled_rhs at the states y, shape (m, 5).
+
+    Returns d f / d y, shape (m, 5, 5), and d f / d log10 (g_e, kappa_s,
+    n_spins), shape (m, 5, 3), with c the float coefficients of
+    _rhs_coefficients.
+    """
+    n, cr, ci, sz, ss = y.T
+    dy = np.zeros((len(y), 5, 5))
+    dy[:, 0, 0] = -c.kappa_c
+    dy[:, 0, 2] = -c.two_g
+    dy[:, 1, 1] = -c.half_width
+    dy[:, 1, 2] = c.delta
+    dy[:, 2, 0] = -c.g_e * sz
+    dy[:, 2, 1] = -c.delta
+    dy[:, 2, 2] = -c.half_width
+    dy[:, 2, 3] = -c.g_e * (0.5 / c.n_spins + n)
+    dy[:, 2, 4] = -c.g_e * c.pair_weight
+    dy[:, 3, 2] = c.four_g
+    dy[:, 3, 3] = -c.gamma
+    dy[:, 4, 2] = -c.two_g * sz
+    dy[:, 4, 3] = -c.two_g * ci
+    dy[:, 4, 4] = -c.pair_decay
+    # p d f / d p for p = g_e, kappa_s, n_spins, then times ln 10
+    dp = np.zeros((len(y), 5, 3))
+    dp[:, 0, 0] = -c.two_g * ci
+    dp[:, 2, 0] = -c.g_e * (0.5 * (sz + 1.0) / c.n_spins + c.pair_weight * ss + n * sz)
+    dp[:, 3, 0] = c.four_g * ci
+    dp[:, 4, 0] = -c.two_g * sz * ci
+    dp[:, 1, 1] = -0.5 * kappa_s * cr
+    dp[:, 2, 1] = -0.5 * kappa_s * ci
+    dp[:, 4, 1] = -kappa_s * ss
+    dp[:, 0, 2] = -c.feed
+    dp[:, 2, 2] = c.g_e * (0.5 * (sz + 1.0) - ss) / c.n_spins
+    return dy, dp * _LN10
+
+
+def _scaled_start(params, init):
+    """(y0, float RHS coefficients, N) of the N-scaled system."""
+    N = float(params.n_spins)
+    c0 = complex(init.coherence)
+    y0 = (float(init.photon_number) / N, c0.real / N, c0.imag / N,
+          float(init.inversion), float(init.spin_correlation) / N)
+    return y0, _RhsCoefficients._make(float(v) for v in _rhs_coefficients(params)), N
+
+
+_BurstSolve = namedtuple("_BurstSolve", (
+    "params", "y0", "coeffs", "t_eval", "record", "photon_number"))
+
+
+def _solve_burst(params, init, t_eval):
+    """Photon numbers on the increasing grid t_eval and the solve's step record.
+
+    It is simulate_maser's solve over (t_eval[0], t_eval[-1]) at the
+    default tolerances, so photon_number is bit-identical to
+    simulate_maser(params, init, (t_eval[0], t_eval[-1]), t_eval=t_eval);
+    the record feeds _log_photon_sensitivity.  Raises
+    IntegrationFailureError as simulate_maser does.
+    """
+    y0, coeffs, N = _scaled_start(params, init)
+    record = _integrate_rk45(_scaled_rhs, coeffs, float(t_eval[0]), float(t_eval[-1]), y0,
+                             t_eval, DEFAULT_RTOL, DEFAULT_ATOL)
+    return _BurstSolve(params, y0, coeffs, t_eval, record,
+                       _dense_output(record, t_eval)[0] * N)
+
+
+def _log_photon_sensitivity(solve):
+    """d log10 n / d log10 (g_e, kappa_s, n_spins) on solve.t_eval, shape (len, 3).
+
+    The exact derivative of the recorded Runge-Kutta solution with its
+    step sizes frozen.  A step maps the sensitivity S = dy/dp (5 x 3)
+    affinely, S_next = M S + v, with M and v built from the stage
+    Jacobians of _scaled_rhs; as 8 x 8 matrices [[M, v], [0, I]] acting
+    on [S; I] the maps combine by a log-depth prefix product, in blocks
+    of _SENSITIVITY_BLOCK steps.  The stage sensitivities of the steps
+    that host output points are then rebuilt from S and weighted by the
+    quartic dense output.  The initial state and n = N y[0] add the
+    dependence on N through the scaling.
+    """
+    rec = np.frombuffer(solve.record, dtype=float).reshape(-1, _RECORD)
+    t_eval = solve.t_eval
+    kappa_s = float(solve.params.kappa_s)
+    host = np.searchsorted(rec[:, 1], t_eval)
+    frame = np.eye(5, 8)
+    # [S; I] at the current step; y0 scales as 1/N except the inversion
+    state = np.eye(8, 3, -5)
+    state[:5, 2] = -_LN10 * np.array(solve.y0)
+    state[3, 2] = 0.0
+    sens = np.empty((len(t_eval), 5, 3))
+    for lo in range(0, len(rec), _SENSITIVITY_BLOCK):
+        block = rec[lo:lo + _SENSITIVITY_BLOCK]
+        m = len(block)
+        h = (block[:, 1] - block[:, 0])[:, None, None]
+        k = block[:, 7:].reshape(m, 7, 5)
+        stage_y = block[:, None, 2:7] + h * np.einsum("ij,mjd->mid", _STAGES, k[:, :6])
+        dy, dp = _rhs_derivatives(stage_y.reshape(-1, 5), solve.coeffs, kappa_s)
+        dy, dp = dy.reshape(m, 7, 5, 5), dp.reshape(m, 7, 5, 3)
+        # maps[:, i] = d k_(i+1) / d [S; p], with z the derivative of the
+        # stage's state; the last z, that of y_new, is the step's [M | v]
+        maps = np.empty((m, 7, 5, 8))
+        for i in range(7):
+            z = frame + h * np.einsum("j,mjdc->mdc", _STAGES[i, :i], maps[:, :i])
+            maps[:, i] = dy[:, i] @ z
+            maps[:, i, :, 5:] += dp[:, i]
+        prefix = np.zeros((m, 8, 8))
+        prefix[:, :5] = z
+        prefix[:, 5:, 5:] = np.eye(3)
+        span = 1
+        while span < m:
+            prefix[span:] = prefix[span:] @ prefix[:-span]
+            span *= 2
+        states = np.concatenate([state[None], prefix @ state])
+        state = states[-1]
+        first, stop = np.searchsorted(host, (lo, lo + m))
+        steps, where = np.unique(host[first:stop] - lo, return_inverse=True)
+        stages = (maps[steps] @ states[steps][:, None])[where]
+        hh = h[steps, 0, 0][where]
+        x = (t_eval[first:stop] - block[steps, 0][where]) / hh
+        weights = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1) @ _DENSE_P.T
+        sens[first:stop] = (states[steps, :5][where]
+                            + hh[:, None, None] * np.einsum("qi,qids->qds", weights, stages))
+    n_scaled = solve.photon_number / solve.coeffs.n_spins
+    out = sens[:, 0, :] / (_LN10 * n_scaled[:, None])
+    out[:, 2] += 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -360,12 +508,9 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         if np.any(np.diff(t_eval) <= 0):
             raise ValueError("Values in `t_eval` are not properly sorted.")
 
-    N = float(params.n_spins)
-    c0 = complex(init.coherence)
-    y0 = (float(init.photon_number) / N, c0.real / N, c0.imag / N,
-          float(init.inversion), float(init.spin_correlation) / N)
-    coeffs = _RhsCoefficients._make(float(v) for v in _rhs_coefficients(params))
-    y = _integrate_rk45(_scaled_rhs, coeffs, t0, t1, y0, t_eval, float(rtol), float(atol))
+    y0, coeffs, N = _scaled_start(params, init)
+    y = _dense_output(_integrate_rk45(_scaled_rhs, coeffs, t0, t1, y0, t_eval,
+                                      float(rtol), float(atol)), t_eval)
     return MaserTrajectory(
         t=t_eval,
         photon_number=y[0] * N,
@@ -374,61 +519,6 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         spin_correlation=y[4] * N,
         params=params,
     )
-
-
-def simulate_photon_stack(params_list, init, t_eval):
-    """Photon numbers of K parameter sets from one stacked integration.
-
-    The members share the initial state and are integrated together as
-    one 5K-state system with DOP853 at DEFAULT_RTOL and DEFAULT_ATOL, so
-    they share one step sequence.  Each member agrees with simulate_maser
-    to within the tolerance-level difference between the two methods.
-
-    Parameters
-    ----------
-    params_list : sequence of MaserSystemParams
-    init : MaserState
-        Initial expectation values (physical units), shared by all members.
-    t_eval : array_like
-        Increasing output grid in seconds; the integration spans its ends.
-
-    Returns
-    -------
-    np.ndarray
-        Photon number, shape (K, len(t_eval)).
-
-    Raises
-    ------
-    IntegrationFailureError
-        If the stacked system cannot advance; one failing member stops
-        all of them.
-    """
-    if len(params_list) == 0:
-        raise InvalidInputError("need at least one parameter set")
-    t_eval = np.asarray(t_eval, dtype=float)
-    if len(t_eval) < 2 or not t_eval[0] < t_eval[-1]:
-        raise InvalidInputError("t_eval must increase over at least two samples")
-    p = SimpleNamespace(**{
-        f.name: np.array([getattr(q, f.name) for q in params_list], dtype=float)
-        for f in fields(MaserSystemParams)})
-    init.validate(scale=max(float(np.max(p.n_bar)), 1.0))
-
-    from scipy.integrate import solve_ivp   # only the stacked solve needs scipy
-
-    N = p.n_spins
-    c0 = complex(init.coherence)
-    y0 = np.concatenate([init.photon_number / N, c0.real / N, c0.imag / N,
-                         np.full(len(N), float(init.inversion)),
-                         init.spin_correlation / N])
-    sol = solve_ivp(_stacked_rhs, (t_eval[0], t_eval[-1]), y0, method="DOP853",
-                    t_eval=t_eval, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                    args=(_rhs_coefficients(p),))
-    if not sol.success:
-        last = float(sol.t[-1]) if len(sol.t) else float(t_eval[0])
-        raise IntegrationFailureError(
-            f"stacked integration stalled at t = {last:.6e} s: {sol.message}",
-            last_time=last)
-    return sol.y[:len(N)] * N[:, None]
 
 
 def cooperativity(g_e, kappa_c, kappa_s):

@@ -1,11 +1,12 @@
 """Nonlinear least-squares machinery and the fitting drivers.
 
-The core is a conventional Levenberg-Marquardt loop with a numerically
-differenced Jacobian (central differences, step max(1e-6 |p|, 1e-10)),
-Marquardt damping that grows tenfold on a rejected step and shrinks
-tenfold on acceptance, and a Nelder-Mead simplex fallback when the
-damping underflows the trust region entirely.  Analytic Jacobians are
-supplied for the exponential models, where they are cheap.
+The core is a conventional Levenberg-Marquardt loop with Marquardt
+damping that grows tenfold on a rejected step and shrinks tenfold on
+acceptance, and a Nelder-Mead simplex fallback when the damping
+underflows the trust region entirely.  A problem may supply its
+Jacobian; otherwise it is numerically differenced (central differences,
+step max(1e-6 |p|, 1e-10)).  The exponential models supply analytic
+Jacobians, and the maser fit supplies the exact Jacobian of its solver.
 
 The maser fit deserves a note.  Its objective (log10 photon number of a
 simulated burst against data) is smooth in the spin count N but razor
@@ -16,11 +17,13 @@ therefore pins the starting point with deterministic physics features
 first (exponential growth rate of the rise for g_e, peak height for N,
 post-peak envelope decay for kappa_s), sharpens kappa_s with a small
 deterministic scan, and only then polishes with Levenberg-Marquardt.
-Each central-difference Jacobian of the polish, and each half of the
-kappa_s scan, integrates its bursts together as one stacked system
-(cqed.simulate_photon_stack); line-search trials and the feature stage
-use the single-burst simulate_maser.  All stages are plain function
-evaluations; nothing is stochastic.
+The feature stage and the scan simulate single bursts with
+simulate_maser.  The polish keeps the step record of each solve, and
+its Jacobian d log10 n / d log10 (g_e, kappa_s, N) comes from that
+record by the sensitivity pass of cqed: exact for the discretization
+the residual uses, at a fraction of a solve's cost, and with no solve
+at all when the point was just evaluated.  All stages are plain function evaluations; nothing is
+stochastic.
 """
 
 import math
@@ -52,10 +55,9 @@ class FitProblem:
     data.y).  loss_space selects whether residuals are formed on the
     values directly or on their log10 (for data spanning decades).
     jacobian, if given, maps params to the (n_data, n_params) matrix of
-    d(model)/d(param) in linear space; it is only used for linear loss.
-    model_batch, if given, maps an (m, n_params) array of parameter
-    points to the (m, n_data) array whose row i is model(points[i]); the
-    numeric Jacobian then evaluates all its perturbed points in one call.
+    d(residual)/d(param) in the loss space: d(model)/d(param) for linear
+    loss, d log10|model| / d(param) for log10 loss.  Without it the
+    residual is differenced numerically.
     """
 
     model: Callable
@@ -64,7 +66,6 @@ class FitProblem:
     bounds: Optional[list] = None
     loss_space: str = "linear"
     jacobian: Optional[Callable] = None
-    model_batch: Optional[Callable] = None
 
     def __post_init__(self):
         self.init = np.asarray(self.init, dtype=float)
@@ -92,11 +93,7 @@ class FitResult:
 
 
 def _residual_fn(problem):
-    """(resid, resid_batch) of a problem; resid_batch is None without model_batch.
-
-    resid_batch maps an (m, n_params) array of points to the (m, n_data)
-    residual rows, each formed exactly as resid forms one.
-    """
+    """The residual function of a problem, in its loss space."""
     y = problem.data.y
     if problem.loss_space == "log10":
         target = np.log10(np.maximum(np.abs(y), LOG_FLOOR))
@@ -107,40 +104,24 @@ def _residual_fn(problem):
         def from_model(m):
             return m - y
 
-    def checked(m):
-        m = np.asarray(m, dtype=float)
+    def resid(p):
+        m = np.asarray(problem.model(p), dtype=float)
         if np.any(np.isnan(m)):
             raise ModelEvaluationError("model returned NaN")
         return from_model(m)
 
-    def resid(p):
-        return checked(problem.model(p))
-
-    if problem.model_batch is None:
-        return resid, None
-    return resid, lambda points: checked(problem.model_batch(points))
+    return resid
 
 
-def _numeric_jacobian(resid, p, resid_batch=None):
-    """Central-difference Jacobian, step max(1e-6 |p_j|, 1e-10).
-
-    The 2n perturbed points are evaluated one by one with resid, or
-    together in one resid_batch call when it is given.
-    """
-    n = len(p)
-    steps = [max(1e-6 * abs(p[j]), 1e-10) for j in range(n)]
-    points = np.tile(p, (2 * n, 1))
-    for j, h in enumerate(steps):
-        points[j, j] += h
-        points[n + j, j] -= h
-    if resid_batch is None:
-        rows = [resid(q) for q in points]
-    else:
-        rows = resid_batch(points)
-    J = np.empty((len(rows[0]), n))
-    for j, h in enumerate(steps):
-        J[:, j] = (rows[j] - rows[n + j]) / (2.0 * h)
-    return J
+def _numeric_jacobian(resid, p):
+    """Central-difference Jacobian, step max(1e-6 |p_j|, 1e-10)."""
+    columns = []
+    for j in range(len(p)):
+        h = max(1e-6 * abs(p[j]), 1e-10)
+        step = np.zeros(len(p))
+        step[j] = h
+        columns.append((resid(p + step) - resid(p - step)) / (2.0 * h))
+    return np.column_stack(columns)
 
 
 def _clip_to_bounds(p, bounds):
@@ -158,13 +139,12 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
     the maser driver uses this to keep the polish inside its narrow
     valley.  Deterministic: identical inputs give identical iterates.
     """
-    resid, resid_batch = _residual_fn(problem)
-    use_analytic = problem.jacobian is not None and problem.loss_space == "linear"
+    resid = _residual_fn(problem)
 
     def jacobian_at(q):
-        if use_analytic:
+        if problem.jacobian is not None:
             return np.asarray(problem.jacobian(q), dtype=float)
-        return _numeric_jacobian(resid, q, resid_batch)
+        return _numeric_jacobian(resid, q)
 
     p = _clip_to_bounds(problem.init.copy(), problem.bounds)
     r = resid(p)
@@ -500,47 +480,67 @@ def _simulate_or_none(g_e, kappa_s, n_spins, fixed, t_grid):
         return None
 
 
-def _simulate_each(points, fixed, t_grid):
-    """Photon numbers of (g_e, kappa_s, n_spins) rows, None where a member fails.
+class _BurstModel:
+    """The burst over p = log10 (g_e, kappa_s, n_spins) on the data grid.
 
-    One stacked solve; when it fails, each member is simulated alone so
-    that one bad member does not take the others with it.
+    photons(p) solves with cqed._solve_burst; log_jacobian(p) gives
+    d log10 n / dp from that solve's step record by
+    cqed._log_photon_sensitivity.  The model keeps its last solve and its
+    last Jacobian, so a Jacobian at the point just evaluated costs only
+    the sensitivity pass, and one asked for again costs nothing.  A
+    failed simulation gives a photon trace of 1e300, penalized rather
+    than fatal, to push the optimizer away (its log10, 300, keeps the
+    cost finite), and a zero Jacobian.
     """
-    if not points:
-        return []
-    try:
-        return list(cqed.simulate_photon_stack(
-            [_burst_params(*q, fixed) for q in points], _burst_init(fixed), t_grid))
-    except NumericalError:
-        return [_simulate_or_none(*q, fixed, t_grid) for q in points]
 
+    def __init__(self, fixed, t_grid):
+        self.fixed = fixed
+        self.t = t_grid
+        self._solved = (None, None)      # (key, cqed._BurstSolve or None)
+        self._jacobian = (None, None)    # (key, d log10 n / dp)
 
-def _log_param_models(fixed, t_grid, row_map=None):
-    """(model, model_batch) over log10 (g_e, kappa_s, n_spins).
+    def _solve(self, p):
+        key = p.tobytes()
+        if self._solved[0] != key:
+            g_e, kappa_s, n_spins = 10.0 ** p[0], 10.0 ** p[1], 10.0 ** p[2]
+            try:
+                solve = cqed._solve_burst(_burst_params(g_e, kappa_s, n_spins, self.fixed),
+                                          _burst_init(self.fixed), self.t)
+            except NumericalError:
+                solve = None
+            self._solved = (key, solve)
+        return self._solved[1]
 
-    model simulates one burst with simulate_maser; model_batch simulates
-    all its points with _simulate_each.  row_map, if given, transforms
-    each simulated photon trace.  A failed simulation gives a photon
-    trace of 1e300, penalized rather than fatal, to push the optimizer
-    away; row_map sees it as it sees a real trace, so a log10 row_map
-    turns it into 300 and the cost stays finite.
-    """
-    def physical(p):
-        return 10.0 ** p[0], 10.0 ** p[1], 10.0 ** p[2]
+    def photons(self, p):
+        solve = self._solve(p)
+        return np.full(len(self.t), 1e300) if solve is None else solve.photon_number
 
-    def finish(y):
-        if y is None:
-            y = np.full(len(t_grid), 1e300)
-        return y if row_map is None else row_map(y)
+    def log_jacobian(self, p):
+        key = p.tobytes()
+        if self._jacobian[0] != key:
+            solve = self._solve(p)
+            if solve is None:
+                jac = np.zeros((len(self.t), 3))
+            else:
+                jac = cqed._log_photon_sensitivity(solve)
+                jac[~(solve.photon_number > LOG_FLOOR)] = 0.0   # log10 floor is flat
+            self._jacobian = (key, jac)
+        return self._jacobian[1]
 
-    def model(p):
-        return finish(_simulate_or_none(*physical(p), fixed, t_grid))
+    def smoothed(self, width):
+        """(model, jacobian) of the log10 photon trace under _smooth_log10.
 
-    def model_batch(points):
-        ys = _simulate_each([physical(q) for q in points], fixed, t_grid)
-        return np.array([finish(y) for y in ys])
+        The smoothing is linear in log10 n, so the Jacobian is the moving
+        average of the raw columns.
+        """
+        def model(p):
+            return _smooth_log10(self.photons(p), width)
 
-    return model, model_batch
+        def jacobian(p):
+            return np.column_stack([_moving_average(col, width)
+                                    for col in self.log_jacobian(p).T])
+
+        return model, jacobian
 
 
 def _feature_initialize(t, y_data, init, fixed, simulate):
@@ -665,12 +665,14 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
     # can stall a percent away, just outside the polish basin
     peak_data = float(np.max(y_data))
     log_target = np.log10(np.maximum(y_data, LOG_FLOOR))
-    scan = [(g_e, factor * kappa_s, n_spins) for factor in KS_SCAN_FACTORS]
-    pinned = [(g, ks, N * peak_data / float(np.max(y)))
-              for (g, ks, N), y in zip(scan, _simulate_each(scan, fixed, t))
-              if y is not None]
+    pinned = []
+    for factor in KS_SCAN_FACTORS:
+        y = _simulate_or_none(g_e, factor * kappa_s, n_spins, fixed, t)
+        if y is not None:
+            pinned.append((factor * kappa_s, n_spins * peak_data / float(np.max(y))))
     best = None
-    for (_, ks_try, n_try), y in zip(pinned, _simulate_each(pinned, fixed, t)):
+    for ks_try, n_try in pinned:
+        y = _simulate_or_none(g_e, ks_try, n_try, fixed, t)
         if y is None:
             c_try = np.inf
         else:
@@ -682,10 +684,15 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
         _, kappa_s, n_spins = best
 
     p_start = np.log10([g_e, kappa_s, n_spins])
-    model_raw, batch_raw = _log_param_models(fixed, t)
+    burst = _BurstModel(fixed, t)
+    if loss_space == "log10":
+        jacobian_raw = burst.log_jacobian
+    else:
+        def jacobian_raw(p):    # dn/dp = n ln 10 d log10 n / dp
+            return burst.log_jacobian(p) * (math.log(10.0) * burst.photons(p))[:, None]
 
     # stage 3: capped Levenberg-Marquardt polish on the requested loss
-    problem_raw = FitProblem(model=model_raw, model_batch=batch_raw, data=photon_trace,
+    problem_raw = FitProblem(model=burst.photons, jacobian=jacobian_raw, data=photon_trace,
                              init=p_start, loss_space=loss_space)
     result = nlls_minimize(problem_raw, max_step=POLISH_STEP_CAP)
 
@@ -695,12 +702,11 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
     if result.residual_norm ** 2 > 1e-6 and loss_space == "log10":
         width = _envelope_width(t)
         smooth_trace = TimeTrace(t, _smooth_log10(y_data, width), "dimensionless")
-        model_smooth, batch_smooth = _log_param_models(
-            fixed, t, row_map=lambda y: _smooth_log10(y, width))
-        problem_smooth = FitProblem(model=model_smooth, model_batch=batch_smooth,
+        model_smooth, jacobian_smooth = burst.smoothed(width)
+        problem_smooth = FitProblem(model=model_smooth, jacobian=jacobian_smooth,
                                     data=smooth_trace, init=p_start, loss_space="linear")
         res_smooth = nlls_minimize(problem_smooth, max_step=SMOOTH_STEP_CAP)
-        problem_raw2 = FitProblem(model=model_raw, model_batch=batch_raw, data=photon_trace,
+        problem_raw2 = FitProblem(model=burst.photons, jacobian=jacobian_raw, data=photon_trace,
                                   init=res_smooth.params, loss_space=loss_space)
         result2 = nlls_minimize(problem_raw2, max_step=POLISH_STEP_CAP)
         if result2.residual_norm < result.residual_norm:

@@ -207,16 +207,20 @@ def fit_tcspc(trace, n_components):
                          np.log(spread)])
     tail_trace = TimeTrace(t_tail, y_tail, trace.unit)
 
+    # a trial log-lifetime past the float range is an infinite lifetime,
+    # a flat component, not a warning per trial
     def model(p):
-        amps = np.exp(p[:n_components])
-        taus = np.exp(p[n_components:])
+        with np.errstate(over="ignore"):
+            amps = np.exp(p[:n_components])
+            taus = np.exp(p[n_components:])
         return np.sum(amps[:, None] * np.exp(-t_tail[None, :] / taus[:, None]), axis=0)
 
     problem = fitting.FitProblem(model=model, data=tail_trace, init=p0,
                                  loss_space="linear")
     res = fitting.nlls_minimize(problem)
-    amps = np.exp(res.params[:n_components])
-    taus = np.exp(res.params[n_components:])
+    with np.errstate(over="ignore"):
+        amps = np.exp(res.params[:n_components])
+        taus = np.exp(res.params[n_components:])
     order = np.argsort(taus)
     amps, taus = amps[order], taus[order]
     total = float(np.sum(amps))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from maserkit.cqed import (
     predicted_rabi,
     rabi_discrepancy,
     simulate_maser,
-    simulate_photon_stack,
 )
 from maserkit.errors import (
     IntegrationFailureError,
@@ -219,26 +219,99 @@ def test_cli_runs_without_scipy(tmp_path):
     assert (tmp_path / "simulate-maser.json").exists()
 
 
-def test_stacked_members_match_separate_simulations():
-    # each method sits ~8e-4 dex from an rtol-1e-12 reference, so two
-    # independent integrations agree to within a few times that
+@pytest.mark.parametrize("overrides", [{"kappa_s": 1e308}, {"delta": 1e308}],
+                         ids=["kappa_s", "delta"])
+def test_runaway_solve_stops_at_the_step_budget(overrides):
+    # the step size collapses near t = 0 and would step without end
+    params = dataclasses.replace(REF_PARAMS, **overrides)
+    start = time.perf_counter()
+    with pytest.raises(IntegrationFailureError, match="step attempts"):
+        simulate_maser(params, REF_INIT, (0.0, 1.5e-5))
+    assert time.perf_counter() - start < 10.0
+
+
+def test_kept_steps_solve_is_bit_identical_to_simulate_maser():
     t_eval = np.linspace(0.0, 1.5e-5, 600)
-    members = [REF_PARAMS,
-               dataclasses.replace(REF_PARAMS, g_e=1.01 * REF_PARAMS.g_e),
-               dataclasses.replace(REF_PARAMS, kappa_s=0.98 * REF_PARAMS.kappa_s,
-                                   n_spins=1.3 * REF_PARAMS.n_spins)]
-    stacked = simulate_photon_stack(members, REF_INIT, t_eval)
-    assert stacked.shape == (3, len(t_eval))
-    for params, row in zip(members, stacked):
-        alone = simulate_maser(params, REF_INIT, (0.0, 1.5e-5), t_eval=t_eval)
-        assert np.max(np.abs(np.log10(row) - np.log10(alone.photon_number))) < 2e-3
+    solve = cqed._solve_burst(REF_PARAMS, REF_INIT, t_eval)
+    traj = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5), t_eval=t_eval)
+    assert np.array_equal(solve.photon_number, traj.photon_number)
+    # every accepted step is kept, not only the 600 that host output points
+    assert len(solve.record) // cqed._RECORD > 1000
 
 
-def test_stacked_solve_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
-        simulate_photon_stack([REF_PARAMS], REF_INIT, [1e-6, 0.0])
-    with pytest.raises(InvalidInputError):
-        simulate_photon_stack([], REF_INIT, [0.0, 1e-6])
+def scaled_params(p):
+    """REF_PARAMS at p = log10 (g_e, kappa_s, n_spins)."""
+    return dataclasses.replace(REF_PARAMS, g_e=10.0 ** p[0], kappa_s=10.0 ** p[1],
+                               n_spins=10.0 ** p[2])
+
+
+def log_photons(p, t_eval):
+    """log10 n of one solve at p and the step sizes it took."""
+    solve = cqed._solve_burst(scaled_params(p), REF_INIT, t_eval)
+    record = np.frombuffer(solve.record).reshape(-1, cqed._RECORD)
+    return np.log10(solve.photon_number), record[:, 1] - record[:, 0]
+
+
+def test_exact_jacobian_matches_central_differences():
+    # Central differences of single solves on the fit's 600-point grid.
+    # They also see the step sizes move with the parameters, which the
+    # pass leaves out; that moves them by far less than 1e-4, except
+    # across a controller decision: where one member rejects a step the
+    # other accepts, the later step sizes differ by several percent and
+    # the stencil measures that jump, not a derivative.  There the
+    # difference step is halved until both members step alike.
+    t_eval = np.linspace(0.0, 1.5e-5, 600)
+    worst = 0.0
+    for fg, fk, fn in itertools.product((0.7, 1.0, 1.3), repeat=3):
+        p = np.log10([fg * REF_PARAMS.g_e, fk * REF_PARAMS.kappa_s, fn * REF_PARAMS.n_spins])
+        exact = cqed._log_photon_sensitivity(
+            cqed._solve_burst(scaled_params(p), REF_INIT, t_eval))
+        for j in range(3):
+            d = 1e-8 * abs(p[j])
+            while True:
+                plus, h_plus = log_photons(p + d * np.eye(3)[j], t_eval)
+                minus, h_minus = log_photons(p - d * np.eye(3)[j], t_eval)
+                if (len(h_plus) == len(h_minus)
+                        and np.max(np.abs(h_plus[:-1] / h_minus[:-1] - 1)) < 1e-3):
+                    break
+                d /= 2
+            reference = (plus - minus) / (2 * d)
+            worst = max(worst, np.linalg.norm(exact[:, j] - reference)
+                        / np.linalg.norm(reference))
+    assert worst < 1e-4
+
+
+def frozen_step_log_photons(p, steps, t_eval):
+    """log10 n at p from Dormand-Prince steps of the given sizes, no error control."""
+    y, c, N = cqed._scaled_start(scaled_params(p), REF_INIT)
+    y = np.array(y)
+    record = []
+    t = 0.0
+    for h in steps:
+        k = [np.array(_scaled_rhs(t, y, c))]
+        for row in cqed._STAGES[1:]:
+            k.append(np.array(_scaled_rhs(t, y + h * (row[:len(k)] @ np.array(k)), c)))
+        record += [t, t + h, *y, *np.concatenate(k)]
+        y = y + h * (cqed._STAGES[-1] @ np.array(k[:6]))
+        t += h
+    return np.log10(cqed._dense_output(np.array(record), t_eval)[0] * N)
+
+
+def test_exact_jacobian_is_the_frozen_step_derivative():
+    # With the steps held at those of the solve, the photon number is a
+    # smooth function of the parameters and the pass its exact
+    # derivative: central differences agree to their own rounding.
+    t_eval = np.linspace(0.0, 1.5e-5, 600)
+    p = np.log10([1.3 * REF_PARAMS.g_e, REF_PARAMS.kappa_s, 0.7 * REF_PARAMS.n_spins])
+    solve = cqed._solve_burst(scaled_params(p), REF_INIT, t_eval)
+    exact = cqed._log_photon_sensitivity(solve)
+    record = np.frombuffer(solve.record).reshape(-1, cqed._RECORD)
+    steps = record[:, 1] - record[:, 0]
+    for j in range(3):
+        d = 1e-8 * abs(p[j]) * np.eye(3)[j]
+        reference = (frozen_step_log_photons(p + d, steps, t_eval)
+                     - frozen_step_log_photons(p - d, steps, t_eval)) / (2 * d[j])
+        assert np.linalg.norm(exact[:, j] - reference) < 1e-5 * np.linalg.norm(reference)
 
 
 def test_cooperativity_reference_value():

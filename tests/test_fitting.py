@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,20 +192,16 @@ def column_loop_jacobian(resid, p):
     return J
 
 
-def test_numeric_jacobian_batch_equals_column_loop():
+def test_numeric_jacobian_equals_column_loop():
     t = np.linspace(0.0, 2.0, 40)
     basis = np.vstack([np.ones_like(t), t, t * t])
     problem = FitProblem(
         model=lambda p: p[0] * basis[0] + p[1] * basis[1] + p[2] * basis[2],
-        model_batch=lambda pts: (pts[:, :1] * basis[0] + pts[:, 1:2] * basis[1]
-                                 + pts[:, 2:] * basis[2]),
         data=TimeTrace(t, 1.0 - 0.5 * t + 0.25 * t * t, "dimensionless"),
         init=np.zeros(3), loss_space="linear")
-    resid, resid_batch = fitting._residual_fn(problem)
+    resid = fitting._residual_fn(problem)
     p = np.array([0.7, -3e-12, 2.5])    # one step on the 1e-10 floor
-    reference = column_loop_jacobian(resid, p)
-    assert np.array_equal(fitting._numeric_jacobian(resid, p, resid_batch), reference)
-    assert np.array_equal(fitting._numeric_jacobian(resid, p), reference)
+    assert np.array_equal(fitting._numeric_jacobian(resid, p), column_loop_jacobian(resid, p))
 
 
 def noiseless_burst():
@@ -214,28 +215,33 @@ def fail_integration(*args, **kwargs):
     raise IntegrationFailureError("forced", last_time=0.0)
 
 
-def test_failed_stack_falls_back_to_per_member_rows(monkeypatch):
+def test_failed_solve_gives_penalty_row_and_zero_jacobian(monkeypatch):
     trace, fixed, truth = noiseless_burst()
-    model, model_batch = fitting._log_param_models(fixed, trace.t)
+    monkeypatch.setattr(cqed, "_solve_burst", fail_integration)
+    burst = fitting._BurstModel(fixed, trace.t)
     p = np.log10(truth)
-    single = cqed.simulate_maser
+    assert np.array_equal(burst.photons(p), np.full(len(trace.t), 1e300))
+    assert np.array_equal(burst.log_jacobian(p), np.zeros((len(trace.t), 3)))
+    resid = fitting._residual_fn(FitProblem(model=burst.photons, data=trace, init=p,
+                                            loss_space="log10"))
+    assert np.array_equal(resid(p), 300.0 - np.log10(trace.y))
 
-    def fails_above_truth(params, *args, **kwargs):
-        if params.g_e > truth[0]:
-            fail_integration()
-        return single(params, *args, **kwargs)
 
-    monkeypatch.setattr(cqed, "simulate_photon_stack", fail_integration)
-    monkeypatch.setattr(cqed, "simulate_maser", fails_above_truth)
-    resid, resid_batch = fitting._residual_fn(FitProblem(
-        model=model, model_batch=model_batch, data=trace, init=p, loss_space="log10"))
-    J_batch = fitting._numeric_jacobian(resid, p, resid_batch)
-    J_single = fitting._numeric_jacobian(resid, p)
-    assert np.array_equal(J_batch, J_single)
-    # the g_e + h member carries the log10(1e300) penalty row
-    assert np.min(J_batch[:, 0]) > 1e6
-    assert np.array_equal(model_batch(p[None, :] + np.array([[1e-6, 0.0, 0.0]]))[0],
-                          np.full(len(trace.t), 1e300))
+def test_smoothed_jacobian_is_the_moving_average_of_the_raw_columns():
+    trace, fixed, truth = noiseless_burst()
+    burst = fitting._BurstModel(fixed, trace.t)
+    width = fitting._envelope_width(trace.t)
+    model, jacobian = burst.smoothed(width)
+    p = np.log10(truth * np.array([1.001, 0.998, 1.002]))
+    raw = burst.log_jacobian(p)
+    smooth = jacobian(p)
+    for j in range(3):
+        assert np.array_equal(smooth[:, j], fitting._moving_average(raw[:, j], width))
+    # and it is the derivative of the smoothed model
+    for j in range(3):
+        d = 1e-8 * abs(p[j]) * np.eye(3)[j]
+        reference = (model(p + d) - model(p - d)) / (2 * d[j])
+        assert np.linalg.norm(smooth[:, j] - reference) < 1e-4 * np.linalg.norm(reference)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -244,51 +250,78 @@ def test_maser_fit_survives_when_every_simulation_fails(monkeypatch):
     # second solve; the polish sees only penalty rows and stalls, and
     # the smoothed stage's cost stays finite (no overflow warning)
     trace, fixed, truth = noiseless_burst()
-    stack = cqed.simulate_photon_stack
-
-    def fail_every_member(params_list, *args):
-        if len(params_list) == 0:
-            return stack(params_list, *args)    # the real input checks
-        fail_integration()
-
     monkeypatch.setattr(cqed, "simulate_maser", fail_integration)
-    monkeypatch.setattr(cqed, "simulate_photon_stack", fail_every_member)
+    monkeypatch.setattr(cqed, "_solve_burst", fail_integration)
     res = fit_maser_parameters(trace, fixed, truth)
     assert not res.converged
     assert np.all(np.isfinite(res.params))
 
 
-def test_maser_fit_jacobians_use_only_stacked_solves(monkeypatch):
+def test_maser_fit_jacobians_reuse_the_evaluated_solve(monkeypatch):
+    # every Jacobian LM asks for is at a point it has just evaluated, so
+    # no Jacobian makes a solve of its own
     trace, fixed, truth = noiseless_burst()
-    counts = {"depth": 0, "jacobians": 0, "single_inside": 0, "stacked_inside": 0}
-    jacobian = fitting._numeric_jacobian
+    counts = {"depth": 0, "jacobians": 0, "solves": 0, "solves_inside": 0}
+    evaluated = set()
+    log_jacobian = fitting._BurstModel.log_jacobian
+    photons = fitting._BurstModel.photons
+    solve_burst = cqed._solve_burst
     single = cqed.simulate_maser
-    stacked = cqed.simulate_photon_stack
 
-    def traced_jacobian(*args, **kwargs):
+    def traced_jacobian(self, p):
         counts["jacobians"] += 1
+        assert p.tobytes() in evaluated
         counts["depth"] += 1
         try:
-            return jacobian(*args, **kwargs)
+            return log_jacobian(self, p)
         finally:
             counts["depth"] -= 1
 
+    def traced_photons(self, p):
+        evaluated.add(p.tobytes())
+        return photons(self, p)
+
+    def traced_solve(*args, **kwargs):
+        counts["solves"] += 1
+        counts["solves_inside"] += counts["depth"] > 0
+        return solve_burst(*args, **kwargs)
+
     def traced_single(*args, **kwargs):
-        counts["single_inside"] += counts["depth"] > 0
+        counts["solves_inside"] += counts["depth"] > 0
         return single(*args, **kwargs)
 
-    def traced_stacked(*args, **kwargs):
-        counts["stacked_inside"] += counts["depth"] > 0
-        return stacked(*args, **kwargs)
-
-    monkeypatch.setattr(fitting, "_numeric_jacobian", traced_jacobian)
+    monkeypatch.setattr(fitting._BurstModel, "log_jacobian", traced_jacobian)
+    monkeypatch.setattr(fitting._BurstModel, "photons", traced_photons)
+    monkeypatch.setattr(cqed, "_solve_burst", traced_solve)
     monkeypatch.setattr(cqed, "simulate_maser", traced_single)
-    monkeypatch.setattr(cqed, "simulate_photon_stack", traced_stacked)
-    res = fit_maser_parameters(trace, fixed, truth)
+    res = fit_maser_parameters(trace, fixed, truth * np.array([1.3, 0.7, 1.3]))
     assert np.all(np.abs(res.params / truth - 1.0) < 0.02)
     assert counts["jacobians"] >= 2
-    assert counts["stacked_inside"] == counts["jacobians"]
-    assert counts["single_inside"] == 0
+    assert counts["solves"] >= 2
+    assert counts["solves_inside"] == 0
+
+
+def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
+    package = Path(fitting.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        text = path.read_text()
+        assert "scipy.integrate" not in text and "import integrate" not in text, path
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from maserkit.fitting import fit_maser_parameters\n"
+        "from maserkit.synthetic import maser_burst\n"
+        "trace, meta = maser_burst()\n"
+        "fixed = {k: meta[k] for k in ('kappa_c', 'gamma', 'n_bar', 'inversion0', 'delta')}\n"
+        "truth = np.array([meta['g_e'], meta['kappa_s'], meta['n_spins']])\n"
+        "fit_maser_parameters(trace, fixed, truth)\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy.integrate')]\n"
+        "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(package.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def reflect_moving_average(x, w):

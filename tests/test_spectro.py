@@ -131,6 +131,15 @@ def test_tcspc_single_component():
     assert fit.amplitudes == (1.0,)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tcspc_three_components_fit_without_overflow_warnings():
+    # LM tries log-lifetimes past the float range on this decay; the
+    # model takes them as flat components without a warning per trial
+    trace, _ = tcspc_decay(seed=2)
+    fit = fit_tcspc(trace, n_components=3)
+    assert len(fit.lifetimes_ns) == 3
+
+
 def test_tcspc_validation():
     trace, _ = tcspc_decay()
     with pytest.raises(InvalidInputError):
