@@ -5,8 +5,14 @@ damping that grows tenfold on a rejected step and shrinks tenfold on
 acceptance, and a Nelder-Mead simplex fallback when the damping
 underflows the trust region entirely.  A problem may supply its
 Jacobian; otherwise it is numerically differenced (central differences,
-step max(1e-6 |p|, 1e-10)).  The exponential models supply analytic
-Jacobians, and the maser fit supplies the exact Jacobian of its solver.
+step max(1e-6 |p|, 1e-10)).  The maser fit supplies the exact Jacobian
+of its solver.
+
+Every sum-of-exponentials fit (the biexponential trEPR fit here, the
+TCSPC tail and the SVD time profiles in spectro) goes through one
+variable-projection fitter: LM runs over the log-rates only, the
+amplitudes are the linear least-squares solution for each trial, and the
+rates start from a matrix pencil.
 
 The maser fit deserves a note.  Its objective (log10 photon number of a
 simulated burst against data) is smooth in the spin count N but razor
@@ -255,65 +261,88 @@ def _linearized_uncertainties(jacobian_at, p, r):
 
 
 # ---------------------------------------------------------------------------
-# biexponential driver
+# sums of exponentials
 
 
-def _biexp_model_internal(p, t):
-    # p = (A, B, L1, L2) with rates alpha = -exp(L), guaranteeing decay
-    a1 = -np.exp(p[2])
-    a2 = -np.exp(p[3])
-    return p[0] * np.exp(a1 * t) + p[1] * np.exp(a2 * t)
+MAX_LOG_RATE = 700.0   # exp(700) ~ 1e304: such a component is gone after t = 0
+PENCIL_WIDTH = 32
 
 
-def _biexp_jacobian_internal(p, t):
-    a1 = -np.exp(p[2])
-    a2 = -np.exp(p[3])
-    e1 = np.exp(a1 * t)
-    e2 = np.exp(a2 * t)
-    # d/dL = d/da * da/dL with da/dL = a
-    return np.column_stack([e1, e2, p[0] * t * e1 * a1, p[1] * t * e2 * a2])
+def _exp_basis(t, log_rates, offset):
+    """Columns exp(-r_j t), ln r_j clamped at MAX_LOG_RATE, and ones for an offset."""
+    rates = np.exp(np.minimum(log_rates, MAX_LOG_RATE))
+    with np.errstate(over="ignore"):
+        basis = np.exp(-np.outer(t, rates))
+    return np.column_stack([basis, np.ones(len(t))]) if offset else basis
 
 
-def _peel_initial_guess(t, y):
-    """Initial biexponential guess by exponential peeling.
+def _pencil_rates(t, y, k, offset):
+    """k distinct positive decay rates of y by the matrix pencil method.
 
-    Fits the slow component to the last third of the record on
-    log|y|, subtracts it, then fits the fast component to the early
-    remainder.  Falls back to crude span-based rates when the signal
-    is too degenerate for peeling.
+    y is resampled on a uniform grid (differenced once to remove an
+    offset) and laid out as a Hankel matrix of width PENCIL_WIDTH + 1;
+    the eigenvalues z of pinv(V[:-1]) V[1:], with V its k leading right
+    singular vectors, are the poles and r = -ln|z| / dt (Hua & Sarkar,
+    IEEE Trans. ASSP 38, 814 (1990)).  Rates are clipped to
+    [0.1 / span, 10 / dt], so a pole that does not decay becomes a slow
+    component, and spread to ratios of at least 2, so a conjugate pair
+    does not start the fit on the equal-rate saddle.
     """
-    span = t[-1] - t[0]
-    n = len(t)
-    tail = slice(2 * n // 3, n)
-    yt = y[tail]
-    sign_slow = 1.0 if np.sum(yt) >= 0 else -1.0
-    mag = np.abs(yt)
-    good = mag > 1e-12 * np.max(np.abs(y))
-    if np.count_nonzero(good) >= 4:
-        coef = np.polyfit(t[tail][good], np.log(mag[good]), 1)
-        a_slow = -abs(coef[0])
-        b_slow = sign_slow * math.exp(coef[1])
-    else:
-        a_slow = -1.0 / span
-        b_slow = yt[-1] if len(yt) else 0.0
-    a_slow = min(a_slow, -1e-3 / span)
+    grid = np.linspace(t[0], t[-1], len(t))
+    dt = grid[1] - grid[0]
+    samples = np.interp(grid, t, y)
+    if offset:
+        samples = np.diff(samples)
+    width = min(PENCIL_WIDTH, (len(samples) - 1) // 2)
+    poles = np.ones(k)    # too few samples for a pencil: start all slow
+    if width >= k:
+        hankel = np.lib.stride_tricks.sliding_window_view(samples, width + 1)
+        v = np.linalg.svd(hankel, full_matrices=False)[2][:k].T
+        poles = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
+    with np.errstate(divide="ignore"):
+        rates = -np.log(np.abs(poles)) / dt
+    rates = -np.sort(-np.clip(rates, 0.1 / (t[-1] - t[0]), 10.0 / dt))   # fastest first
+    for j in range(1, k):
+        rates[j] = min(rates[j], rates[j - 1] / 2.0)
+    return rates
 
-    rem = y - b_slow * np.exp(a_slow * t)
-    head = slice(0, max(4, n // 4))
-    yh = rem[head]
-    sign_fast = 1.0 if np.sum(yh) >= 0 else -1.0
-    mag = np.abs(yh)
-    good = mag > 1e-12 * max(np.max(np.abs(rem)), 1e-300)
-    if np.count_nonzero(good) >= 4:
-        coef = np.polyfit(t[head][good], np.log(mag[good]), 1)
-        a_fast = -abs(coef[0])
-        b_fast = sign_fast * math.exp(coef[1])
-    else:
-        a_fast = 10.0 * a_slow
-        b_fast = y[0] - b_slow
-    if a_fast >= a_slow:
-        a_fast = 10.0 * a_slow
-    return b_fast, b_slow, a_fast, a_slow
+
+def _fit_exponentials(t, y, k, offset=False, rates0=None):
+    """Least-squares fit of y = sum_j c_j exp(-r_j t) (+ c_0) by variable projection.
+
+    Levenberg-Marquardt runs over the k log-rates only; for each trial the
+    amplitudes are the linear least-squares solution, so the model is the
+    projection of y on the basis (Golub & Pereyra, SIAM J. Numer. Anal. 10,
+    413 (1973)).  The start is rates0 when given, else the matrix pencil.
+
+    Returns a FitResult with params (c_1..c_k[, c_0], ln r_1..ln r_k),
+    components ordered fastest first, and one-sigma errors from the
+    Jacobian in all of them at the optimum.
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rates0 = _pencil_rates(t, y, k, offset) if rates0 is None else np.asarray(rates0, float)
+
+    def amplitudes(log_rates):
+        basis = _exp_basis(t, log_rates, offset)
+        return basis, np.linalg.lstsq(basis, y, rcond=None)[0]
+
+    def model(log_rates):
+        basis, c = amplitudes(log_rates)
+        return basis @ c
+
+    res = nlls_minimize(FitProblem(model=model, data=TimeTrace(t, y), init=np.log(rates0)))
+    log_rates = np.sort(res.params)[::-1]
+    basis, c = amplitudes(log_rates)
+    q = np.concatenate([c, log_rates])
+    # d/d ln r_j of c_j exp(-r_j t) is -c_j r_j t exp(-r_j t)
+    rates = np.exp(np.minimum(log_rates, MAX_LOG_RATE))
+    jac = np.column_stack([basis, -basis[:, :k] * t[:, None] * (c[:k] * rates)])
+    return FitResult(params=q, residual_norm=res.residual_norm,
+                     jacobian_condition=res.jacobian_condition,
+                     iterations=res.iterations, converged=res.converged,
+                     param_uncertainties=_linearized_uncertainties(
+                         lambda _: jac, q, basis @ c - y))
 
 
 def fit_biexponential(trace, init=None):
@@ -325,7 +354,9 @@ def fit_biexponential(trace, init=None):
         Signal to fit (any unit; values used as-is).
     init : tuple, optional
         (A, B, alpha_minus, alpha_plus) starting guess; both rates
-        negative.  When omitted a peeling heuristic builds one.
+        negative.  Only the rates are used: the amplitudes are solved
+        for exactly at every step.  When omitted the matrix pencil
+        supplies the rates.
 
     Returns
     -------
@@ -338,37 +369,20 @@ def fit_biexponential(trace, init=None):
         raise InvalidInputError("need at least 8 samples for a biexponential fit")
     if np.allclose(y, y[0]):
         raise NumericalError("constant data: biexponential fit cannot converge")
-    if init is None:
-        A0, B0, am0, ap0 = _peel_initial_guess(t, y)
-    else:
-        A0, B0, am0, ap0 = init
-        if am0 >= 0 or ap0 >= 0:
+    rates0 = None
+    if init is not None:
+        if init[2] >= 0 or init[3] >= 0:
             raise InvalidInputError("initial rates must be negative")
-
-    p0 = np.array([A0, B0, math.log(-am0), math.log(-ap0)])
-    problem = FitProblem(
-        model=lambda p: _biexp_model_internal(p, t),
-        data=trace,
-        init=p0,
-        jacobian=lambda p: _biexp_jacobian_internal(p, t),
-        loss_space="linear",
-    )
-    res = nlls_minimize(problem)
+        rates0 = (-init[2], -init[3])
+    res = _fit_exponentials(t, y, 2, rates0=rates0)
     if not res.converged:
         raise NumericalError("biexponential fit did not converge")
-
-    A, B = res.params[0], res.params[1]
-    a1 = -math.exp(res.params[2])
-    a2 = -math.exp(res.params[3])
-    sA, sB = res.param_uncertainties[0], res.param_uncertainties[1]
-    # sigma_alpha = |alpha| * sigma_L through the exponential transform
-    s1 = abs(a1) * res.param_uncertainties[2]
-    s2 = abs(a2) * res.param_uncertainties[3]
-    if a1 > a2:   # order components: alpha_minus is the more negative rate
-        A, B, a1, a2 = B, A, a2, a1
-        sA, sB, s1, s2 = sB, sA, s2, s1
-    return BiexpFit(A=A, B=B, alpha_minus=a1, alpha_plus=a2,
-                    A_err=sA, B_err=sB, alpha_minus_err=s1, alpha_plus_err=s2)
+    A, B = res.params[:2]
+    a1, a2 = (-float(r) for r in np.exp(res.params[2:]))
+    sA, sB, sL1, sL2 = res.param_uncertainties
+    # sigma_alpha = |alpha| * sigma_ln r; the faster component comes first
+    return BiexpFit(A=A, B=B, alpha_minus=a1, alpha_plus=a2, A_err=sA, B_err=sB,
+                    alpha_minus_err=abs(a1) * sL1, alpha_plus_err=abs(a2) * sL2)
 
 
 # ---------------------------------------------------------------------------

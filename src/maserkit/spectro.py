@@ -7,6 +7,9 @@ Three independent pieces:
 * TCSPC multi-exponential tail fits (after the counts peak; no IRF
   reconvolution, justified for IRF much shorter than the fast lifetime)
 * triplet quantum yield arithmetic from fluorescence and ISC lifetimes
+
+Both lifetime fits are fitting._fit_exponentials, the package's one
+sum-of-exponentials fitter.
 """
 
 import math
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .trace import CSV_FLOAT_FMT, TimeTrace, read_columns, write_columns
+from .trace import CSV_FLOAT_FMT, read_columns, write_columns
 from . import fitting
 
 DEFAULT_SIGNIFICANCE = 0.10
@@ -71,54 +74,6 @@ class GlobalAnalysisResult:
     component_lifetimes: list = field(default_factory=list)
 
 
-def _fit_mono_exponential_profile(delays, profile):
-    """Lifetime of one SVD time profile via c exp(-t/tau) + offset.
-
-    The amplitude sign is free so in-growing (bleach recovery style)
-    profiles fit without a separate model.  Several deterministic
-    starting lifetimes are tried and the best residual wins; profiles
-    this short and smooth do not need anything fancier.
-    """
-    t = delays - delays[0]
-    span = t[-1] if t[-1] > 0 else 1.0
-    trace = TimeTrace(t, profile, "dimensionless")
-    offset0 = profile[-1]
-    c0 = profile[0] - offset0
-    if c0 == 0.0:
-        c0 = np.max(np.abs(profile - offset0)) or 1.0
-
-    best = None
-    for tau0 in (span / 10.0, span / 3.0, span):
-        p0 = np.array([c0, math.log(tau0), offset0])
-
-        def model(p):
-            # a lifetime that underflows to 0 gives NaN at t = 0, which
-            # ends this start with a ModelEvaluationError
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return p[0] * np.exp(-t / _lifetime(p[1])) + p[2]
-
-        problem = fitting.FitProblem(model=model, data=trace, init=p0,
-                                     loss_space="linear")
-        try:
-            res = fitting.nlls_minimize(problem)
-        except NumericalError:
-            continue
-        tau = _lifetime(res.params[1])
-        if math.isfinite(tau) and (best is None or res.residual_norm < best[0].residual_norm):
-            best = (res, tau)
-    if best is None:
-        raise NumericalError("mono-exponential profile fit failed")
-    return best[1]
-
-
-def _lifetime(log_tau):
-    """exp(log_tau); inf past the float range, where the model profile is flat."""
-    try:
-        return math.exp(log_tau)
-    except OverflowError:
-        return math.inf
-
-
 def svd_global_analysis(matrix, significance_threshold=DEFAULT_SIGNIFICANCE,
                         fit_lifetimes=True):
     """Full SVD of a transient-absorption matrix plus lifetime fits.
@@ -145,8 +100,15 @@ def svd_global_analysis(matrix, significance_threshold=DEFAULT_SIGNIFICANCE,
     n_sig = int(np.count_nonzero(significant))
     lifetimes = []
     if fit_lifetimes:
+        t = matrix.delays - matrix.delays[0]
         for i in range(n_sig):
-            lifetimes.append(_fit_mono_exponential_profile(matrix.delays, vt[i]))
+            # c exp(-t / tau) + offset, the sign of c free for in-growing profiles
+            res = fitting._fit_exponentials(t, vt[i], 1, offset=True)
+            with np.errstate(over="ignore"):
+                tau = float(np.exp(-res.params[2]))
+            if not math.isfinite(tau):
+                raise NumericalError("mono-exponential profile fit failed")
+            lifetimes.append(tau)
     return GlobalAnalysisResult(
         singular_values=s,
         spectral_components=u.T[:n_sig],
@@ -174,11 +136,13 @@ def fit_tcspc(trace, n_components):
 
     Only samples after the counts maximum enter the fit (tail fitting;
     the instrument response is assumed short against the fastest
-    lifetime).  Amplitudes are constrained positive through an
-    exponential parametrization and normalized to sum to one.
+    lifetime).  Lifetimes are in ascending order; amplitudes are
+    unconstrained and normalized to sum to one.
 
     Returns a TcspcFit with converged=False instead of raising when the
-    optimizer cannot support the requested component count.
+    data cannot support the requested component count: when the
+    optimizer stops without converging, an amplitude is not positive or
+    a lifetime is not finite.
     """
     if n_components not in (1, 2, 3):
         raise InvalidInputError(f"n_components must be 1, 2, or 3, got {n_components!r}")
@@ -189,40 +153,12 @@ def fit_tcspc(trace, n_components):
     if len(t_tail) < 50:
         raise InvalidInputError("need at least 50 samples past the counts peak")
 
-    span = t_tail[-1]
-    scale = float(np.max(y_tail))
-    if scale <= 0:
+    if float(np.max(y_tail)) <= 0:
         raise InvalidInputError("tail contains no positive counts")
-
-    # deterministic initial lifetimes spread across the record; the
-    # slowest component sees the full span, the fastest a small part
-    if n_components == 1:
-        spread = np.array([span / 5.0])
-    else:
-        spread = np.geomspace(span / 50.0, span / 2.0, n_components)
-    amp0 = scale / n_components
-
-    # parameters: (log a_1..a_k, log tau_1..tau_k)
-    p0 = np.concatenate([np.full(n_components, math.log(amp0)),
-                         np.log(spread)])
-    tail_trace = TimeTrace(t_tail, y_tail, trace.unit)
-
-    # a trial log-lifetime past the float range is an infinite lifetime,
-    # a flat component, not a warning per trial
-    def model(p):
-        with np.errstate(over="ignore"):
-            amps = np.exp(p[:n_components])
-            taus = np.exp(p[n_components:])
-        return np.sum(amps[:, None] * np.exp(-t_tail[None, :] / taus[:, None]), axis=0)
-
-    problem = fitting.FitProblem(model=model, data=tail_trace, init=p0,
-                                 loss_space="linear")
-    res = fitting.nlls_minimize(problem)
+    res = fitting._fit_exponentials(t_tail, y_tail, n_components)
+    amps = res.params[:n_components]
     with np.errstate(over="ignore"):
-        amps = np.exp(res.params[:n_components])
-        taus = np.exp(res.params[n_components:])
-    order = np.argsort(taus)
-    amps, taus = amps[order], taus[order]
+        taus = np.exp(-res.params[n_components:])
     total = float(np.sum(amps))
     if total <= 0:
         return TcspcFit((), (), res.residual_norm, False)
@@ -230,7 +166,7 @@ def fit_tcspc(trace, n_components):
         lifetimes_ns=tuple(tau * 1e9 for tau in taus),
         amplitudes=tuple(a / total for a in amps),
         residual_norm=res.residual_norm,
-        converged=bool(res.converged))
+        converged=bool(res.converged and np.all(amps > 0) and np.all(np.isfinite(taus))))
 
 
 # ---------------------------------------------------------------------------

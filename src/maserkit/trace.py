@@ -2,13 +2,16 @@
 
 Every CSV file the package writes or reads is one comma-separated table:
 a single header line, no comment character, and rows of values printed
-to 17 significant digits, so a write/read cycle is lossless for double
-precision.  write_columns and read_columns are the
-one writer and the one reader of that format.
+to 17 significant digits, so every value a table holds reads back
+exactly.  write_columns and read_columns are the one writer and the one
+reader of that format.
 
 A TimeTrace is stored as two columns with header ``t_us,value``; times
 are written in microseconds (the natural plotting unit for these
-experiments) and converted back to seconds on read.
+experiments) and converted back to seconds on read.  The two unit
+conversions each round, so a time may come back one ulp away from the
+one written (on a 600-point burst grid, 178 times move); the values are
+exact.
 """
 
 from dataclasses import dataclass

@@ -31,8 +31,9 @@ from maserkit.errors import (
     NoOscillationError,
     UnitMismatchError,
 )
-from maserkit.synthetic import damped_cosine_burst
-from maserkit.trace import TimeTrace
+from maserkit.spectro import write_matrix_csv
+from maserkit.synthetic import biexp_trepr, damped_cosine_burst, rank2_tas, tcspc_decay
+from maserkit.trace import TimeTrace, write_trace_csv
 from maserkit.units import TWO_PI
 
 REF_PARAMS = MaserSystemParams(
@@ -201,22 +202,33 @@ def test_arithmetic_failure_is_an_integration_failure(overrides):
 
 
 def test_cli_runs_without_scipy(tmp_path):
+    clean, _ = biexp_trepr()
+    trepr, _ = biexp_trepr(noise_rms=0.01 * float(np.max(np.abs(clean.y))), seed=4)
+    write_trace_csv(tmp_path / "trepr.csv", trepr)
+    write_trace_csv(tmp_path / "tcspc.csv", tcspc_decay(seed=2)[0])
+    write_matrix_csv(tmp_path / "tas.csv", rank2_tas(seed=3)[0])
     script = (
         "import sys\n"
         "import maserkit.cli\n"
+        "out = sys.argv[1]\n"
+        "commands = [['simulate-maser', '--t-max-us', '2', '--points', '100'],\n"
+        "            ['fit-trepr', out + '/trepr.csv'],\n"
+        "            ['fit-tcspc', out + '/tcspc.csv', '--components', '3'],\n"
+        "            ['svd-tas', out + '/tas.csv']]\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n"
-        "assert maserkit.cli.main(['simulate-maser', '--output-dir', sys.argv[1],\n"
-        "                          '--t-max-us', '2', '--points', '100']) == 0\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "assert not loaded, loaded\n")
+        "for argv in commands:\n"
+        "    assert maserkit.cli.main([*argv, '--output-dir', out]) == 0, argv\n"
+        "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "    assert not loaded, (argv, loaded)\n")
     src = str(Path(maserkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "simulate-maser.json").exists()
+    for name in ("simulate-maser", "fit-trepr", "fit-tcspc", "svd-tas"):
+        assert (tmp_path / f"{name}.json").exists()
 
 
 @pytest.mark.parametrize("overrides", [{"kappa_s": 1e308}, {"delta": 1e308}],

@@ -156,6 +156,18 @@ def test_maser_fit_recovers_parameters_from_perturbed_start():
     assert np.all(rel < 0.02), f"relative errors {rel}"
 
 
+def test_maser_fit_in_linear_loss_recovers_the_truth():
+    # the acceptance-08 start (0.7, 0.7, 0.7) on the loss_space="linear"
+    # path, which skips the smoothed stage-4 fallback
+    trace, meta = maser_burst()
+    truth = np.array([meta["g_e"], meta["kappa_s"], meta["n_spins"]])
+    fixed = {k: meta[k] for k in ("kappa_c", "gamma", "n_bar", "inversion0", "delta")}
+    res = fit_maser_parameters(trace, fixed, truth * 0.7, loss_space="linear")
+    assert res.converged
+    rel = np.abs(res.params / truth - 1.0)
+    assert np.all(rel < 1e-6), f"relative errors {rel}"
+
+
 def test_zero_coupling_cannot_track_a_burst():
     """With g_e = 0 the photon equation decouples from the spins, so one
     trajectory (exponential relaxation to n_bar) is the best any choice

@@ -39,6 +39,17 @@ def test_rank1_matrix_gives_single_component():
     assert res.component_lifetimes[0] == pytest.approx(500.0, rel=5e-3)
 
 
+def test_rank1_matrix_on_geometric_delays():
+    # SpectrumMatrix accepts non-uniform delays; the lifetime fit must too
+    wl = np.linspace(450.0, 750.0, 40)
+    dl = np.geomspace(10.0, 3010.0, 150) - 10.0
+    spectrum = np.exp(-0.5 * ((wl - 550.0) / 25.0) ** 2)
+    mat = SpectrumMatrix(wl, dl, np.outer(spectrum, np.exp(-dl / 500.0)))
+    res = svd_global_analysis(mat)
+    assert res.significant_count == 1
+    assert res.component_lifetimes[0] == pytest.approx(500.0, rel=5e-3)
+
+
 def test_rank2_recovery_noiseless():
     mat, meta = rank2_tas(noise_frac=0.0)
     res = svd_global_analysis(mat)
@@ -138,6 +149,18 @@ def test_tcspc_three_components_fit_without_overflow_warnings():
     trace, _ = tcspc_decay(seed=2)
     fit = fit_tcspc(trace, n_components=3)
     assert len(fit.lifetimes_ns) == 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tcspc_three_components_keep_the_converged_promise():
+    # the decays hold two components; a third must end finite and
+    # positive or be reported with converged=False, and never raise
+    for seed in range(48):
+        trace, _ = tcspc_decay(seed=seed)
+        fit = fit_tcspc(trace, n_components=3)
+        if fit.converged:
+            assert all(np.isfinite(fit.lifetimes_ns)), seed
+            assert all(a > 0 for a in fit.amplitudes), seed
 
 
 def test_tcspc_validation():

@@ -66,6 +66,17 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert back.unit == "photons"
 
 
+def test_csv_round_trip_moves_times_by_at_most_one_ulp(tmp_path):
+    # the burst grid: writing microseconds and reading back times 1e-6
+    # rounds twice, so a time may move by one ulp; values are exact
+    tr = TimeTrace(np.linspace(0.0, 15e-6, 600), np.geomspace(4097.0, 2e14, 600), "photons")
+    path = tmp_path / "burst.csv"
+    write_trace_csv(path, tr)
+    back = read_trace_csv(path, "photons")
+    assert np.array_equal(back.y, tr.y)
+    assert np.all(np.abs(back.t - tr.t) <= np.spacing(tr.t))
+
+
 def test_csv_header_is_checked(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,signal\n0,1\n1,2\n")
