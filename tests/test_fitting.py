@@ -133,6 +133,19 @@ def test_biexp_handles_single_component_data():
     assert recessive < 1e-3 * dominant
 
 
+def test_biexp_restarted_at_its_optimum_converges():
+    # from the optimum every Levenberg-Marquardt trial step is a rounding
+    # coin flip; a fit that cannot improve on its start is still converged
+    clean, _ = biexp_trepr()
+    noise = 0.01 * float(np.max(np.abs(clean.y)))
+    for seed in range(48):
+        trace, _ = biexp_trepr(noise_rms=noise, seed=seed)
+        fit = fit_biexponential(trace)
+        again = fit_biexponential(trace, init=(fit.A, fit.B, fit.alpha_minus, fit.alpha_plus))
+        assert again.alpha_minus == pytest.approx(fit.alpha_minus, rel=1e-6), seed
+        assert again.alpha_plus == pytest.approx(fit.alpha_plus, rel=1e-6), seed
+
+
 def test_biexp_error_cases():
     t = np.linspace(0.0, 1e-5, 100)
     with pytest.raises(NumericalError):
