@@ -27,7 +27,10 @@ dense output.  It runs scipy RK45's method in-house on Python floats:
 the same tableau, initial-step rule, error norm, step-size controller
 and minimum step, so it takes the steps and right-hand-side calls that
 solve_ivp(method="RK45") takes, without scipy's per-step array overhead,
-which outweighed the five-state right-hand side.  The method must stay
+which outweighed the five-state right-hand side.  The stages are
+unrolled over the five state components as scalar locals, with the float
+operations of a generic loop over the components in the same order, so
+the steps are bit-identical to that loop's.  The method must stay
 because the maser fit's success depends on its truncation error: with
 DOP853 in its place, fits started from (kappa_s, N) = 0.7 x truth end
 2-4% off while reporting convergence.
@@ -234,7 +237,11 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
 
     The method, error norm, step-size controller, minimum step and dense
     output are those of scipy's solve_ivp(method="RK45") with max_step
-    unbounded, so the two take the same steps.  Returns the record of
+    unbounded, so the two take the same steps.  The stages are unrolled
+    over the five state components: each is the generic per-component
+    expression with the same operations in the same order, so the record
+    is bit-identical to that of a loop over the components; rhs is called
+    once per stage.  Returns the record of
     every accepted step, one flat float array of _RECORD floats per step,
     which _dense_output turns into the states at t_eval and
     _log_photon_sensitivity into their derivatives.
@@ -248,14 +255,21 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
     record = array("d")
     done = 0
     attempts = 0
-    t, y = t0, y0
+    t = t0
+    # The five state components and the stages k1..k7 (p, q, r, s, u, v,
+    # w) as scalar locals: each expression is the generic per-component
+    # stage sum, a + (A_i1 p + ... ) h, with its operations in the same
+    # order, so the steps are those of a loop over the components.
+    a0, a1, a2, a3, a4 = y0
     try:
-        f = rhs(t, y, c)
+        f = rhs(t, y0, c)
         h_abs = _initial_step(rhs, c, t0, t1, y0, f, rtol, atol)
         while t < t1:
             min_step = 10.0 * (math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
             rejected = False
+            k1 = f
+            p0, p1, p2, p3, p4 = k1
             while True:
                 if not h_abs >= min_step:
                     raise _stalled(t_out, done, t0, "Required step size is less than "
@@ -266,23 +280,54 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
                                    "end of the span")
                 t_new = min(t + h_abs, t1)
                 h = t_new - t
-                k1 = f
-                k2 = rhs(t + _C2 * h, [a + (_A21 * p) * h for a, p in zip(y, k1)], c)
-                k3 = rhs(t + _C3 * h, [a + (_A31 * p + _A32 * q) * h
-                                       for a, p, q in zip(y, k1, k2)], c)
-                k4 = rhs(t + _C4 * h, [a + (_A41 * p + _A42 * q + _A43 * r) * h
-                                       for a, p, q, r in zip(y, k1, k2, k3)], c)
-                k5 = rhs(t + _C5 * h, [a + (_A51 * p + _A52 * q + _A53 * r + _A54 * s) * h
-                                       for a, p, q, r, s in zip(y, k1, k2, k3, k4)], c)
-                k6 = rhs(t + h, [a + (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u) * h
-                                 for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)], c)
-                y_new = [a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
-                         for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
-                k7 = rhs(t + h, y_new, c)
-                error_norm = _rms([
-                    (_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * v + _E7 * w) * h
-                    / (atol + max(abs(a), abs(b)) * rtol)
-                    for a, b, p, r, s, u, v, w in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+                k2 = rhs(t + _C2 * h, (a0 + (_A21 * p0) * h, a1 + (_A21 * p1) * h,
+                                       a2 + (_A21 * p2) * h, a3 + (_A21 * p3) * h,
+                                       a4 + (_A21 * p4) * h), c)
+                q0, q1, q2, q3, q4 = k2
+                k3 = rhs(t + _C3 * h, (a0 + (_A31 * p0 + _A32 * q0) * h,
+                                       a1 + (_A31 * p1 + _A32 * q1) * h,
+                                       a2 + (_A31 * p2 + _A32 * q2) * h,
+                                       a3 + (_A31 * p3 + _A32 * q3) * h,
+                                       a4 + (_A31 * p4 + _A32 * q4) * h), c)
+                r0, r1, r2, r3, r4 = k3
+                k4 = rhs(t + _C4 * h, (a0 + (_A41 * p0 + _A42 * q0 + _A43 * r0) * h,
+                                       a1 + (_A41 * p1 + _A42 * q1 + _A43 * r1) * h,
+                                       a2 + (_A41 * p2 + _A42 * q2 + _A43 * r2) * h,
+                                       a3 + (_A41 * p3 + _A42 * q3 + _A43 * r3) * h,
+                                       a4 + (_A41 * p4 + _A42 * q4 + _A43 * r4) * h), c)
+                s0, s1, s2, s3, s4 = k4
+                k5 = rhs(t + _C5 * h, (a0 + (_A51 * p0 + _A52 * q0 + _A53 * r0 + _A54 * s0) * h,
+                                       a1 + (_A51 * p1 + _A52 * q1 + _A53 * r1 + _A54 * s1) * h,
+                                       a2 + (_A51 * p2 + _A52 * q2 + _A53 * r2 + _A54 * s2) * h,
+                                       a3 + (_A51 * p3 + _A52 * q3 + _A53 * r3 + _A54 * s3) * h,
+                                       a4 + (_A51 * p4 + _A52 * q4 + _A53 * r4 + _A54 * s4) * h),
+                         c)
+                u0, u1, u2, u3, u4 = k5
+                k6 = rhs(t + h, (
+                    a0 + (_A61 * p0 + _A62 * q0 + _A63 * r0 + _A64 * s0 + _A65 * u0) * h,
+                    a1 + (_A61 * p1 + _A62 * q1 + _A63 * r1 + _A64 * s1 + _A65 * u1) * h,
+                    a2 + (_A61 * p2 + _A62 * q2 + _A63 * r2 + _A64 * s2 + _A65 * u2) * h,
+                    a3 + (_A61 * p3 + _A62 * q3 + _A63 * r3 + _A64 * s3 + _A65 * u3) * h,
+                    a4 + (_A61 * p4 + _A62 * q4 + _A63 * r4 + _A64 * s4 + _A65 * u4) * h), c)
+                v0, v1, v2, v3, v4 = k6
+                b0 = a0 + h * (_B1 * p0 + _B3 * r0 + _B4 * s0 + _B5 * u0 + _B6 * v0)
+                b1 = a1 + h * (_B1 * p1 + _B3 * r1 + _B4 * s1 + _B5 * u1 + _B6 * v1)
+                b2 = a2 + h * (_B1 * p2 + _B3 * r2 + _B4 * s2 + _B5 * u2 + _B6 * v2)
+                b3 = a3 + h * (_B1 * p3 + _B3 * r3 + _B4 * s3 + _B5 * u3 + _B6 * v3)
+                b4 = a4 + h * (_B1 * p4 + _B3 * r4 + _B4 * s4 + _B5 * u4 + _B6 * v4)
+                k7 = rhs(t + h, (b0, b1, b2, b3, b4), c)
+                w0, w1, w2, w3, w4 = k7
+                error_norm = _rms((
+                    (_E1 * p0 + _E3 * r0 + _E4 * s0 + _E5 * u0 + _E6 * v0 + _E7 * w0) * h
+                    / (atol + max(abs(a0), abs(b0)) * rtol),
+                    (_E1 * p1 + _E3 * r1 + _E4 * s1 + _E5 * u1 + _E6 * v1 + _E7 * w1) * h
+                    / (atol + max(abs(a1), abs(b1)) * rtol),
+                    (_E1 * p2 + _E3 * r2 + _E4 * s2 + _E5 * u2 + _E6 * v2 + _E7 * w2) * h
+                    / (atol + max(abs(a2), abs(b2)) * rtol),
+                    (_E1 * p3 + _E3 * r3 + _E4 * s3 + _E5 * u3 + _E6 * v3 + _E7 * w3) * h
+                    / (atol + max(abs(a3), abs(b3)) * rtol),
+                    (_E1 * p4 + _E3 * r4 + _E4 * s4 + _E5 * u4 + _E6 * v4 + _E7 * w4) * h
+                    / (atol + max(abs(a4), abs(b4)) * rtol)))
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = _MAX_FACTOR
@@ -294,9 +339,10 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
                     break
                 h_abs = h * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 rejected = True
-            record.extend((t, t_new, *y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+            record.extend((t, t_new, a0, a1, a2, a3, a4, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
             done = bisect_right(t_out, t_new, done)
-            t, y, f = t_new, y_new, k7
+            t, f = t_new, k7
+            a0, a1, a2, a3, a4 = b0, b1, b2, b3, b4
     except ArithmeticError as exc:
         raise _stalled(t_out, done, t0, f"arithmetic failure ({exc})") from None
     return record

@@ -2,11 +2,14 @@
 
 The core is a conventional Levenberg-Marquardt loop with Marquardt
 damping that grows tenfold on a rejected step and shrinks tenfold on
-acceptance, and a Nelder-Mead simplex fallback when the damping
-underflows the trust region entirely.  A problem may supply its
-Jacobian; otherwise it is numerically differenced (central differences,
-step max(1e-6 |p|, 1e-10)).  The maser fit supplies the exact Jacobian
-of its solver.
+acceptance.  When the damping underflows the trust region entirely, the
+point is converged if a linearized step would lower the cost by less
+than REL_RESID_TOL of it (one Gauss-Newton step reached the optimum and
+rounding rejects every later trial); otherwise a Nelder-Mead simplex
+walk, the only use of scipy in the package, takes over.  A problem may
+supply its Jacobian; otherwise it is numerically differenced (central
+differences, step max(1e-6 |p|, 1e-10)).  The maser fit supplies the
+exact Jacobian of its solver.
 
 Every sum-of-exponentials fit (the biexponential trEPR fit here, the
 TCSPC tail and the SVD time profiles in spectro) goes through one
@@ -20,16 +23,17 @@ thin in g_e and kappa_s: a fraction of a percent of mismatch in either
 dephases the Rabi ripples and the log-space residual saturates, so no
 local optimizer started 30% away can find the valley.  The driver
 therefore pins the starting point with deterministic physics features
-first (exponential growth rate of the rise for g_e, peak height for N,
-post-peak envelope decay for kappa_s), sharpens kappa_s with a small
+first (exponential growth rate of the rise for g_e, through the
+closed-form inverse of the linearized gain eigenvalue; peak height for
+N; post-peak envelope decay for kappa_s), sharpens kappa_s with a small
 deterministic scan, and only then polishes with Levenberg-Marquardt.
 The feature stage and the scan simulate single bursts with
 simulate_maser.  The polish keeps the step record of each solve, and
 its Jacobian d log10 n / d log10 (g_e, kappa_s, N) comes from that
 record by the sensitivity pass of cqed: exact for the discretization
 the residual uses, at a fraction of a solve's cost, and with no solve
-at all when the point was just evaluated.  All stages are plain function evaluations; nothing is
-stochastic.
+at all when the point was just evaluated.  All stages are plain
+function evaluations; nothing is stochastic.
 """
 
 import math
@@ -141,6 +145,10 @@ def _clip_to_bounds(p, bounds):
 def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
     """Levenberg-Marquardt minimization with a Nelder-Mead stall fallback.
 
+    A stall at a point where a linearized step would lower the cost by
+    less than REL_RESID_TOL of it is convergence, and the fallback does
+    not run.
+
     max_step optionally caps the infinity norm of each accepted step;
     the maser driver uses this to keep the polish inside its narrow
     valley.  Deterministic: identical inputs give identical iterates.
@@ -220,6 +228,13 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
         if converged:
             break
 
+    if stalled and math.isfinite(cost):
+        # Every trial from p was rejected.  When one Gauss-Newton step
+        # landed on the optimum that is rounding, not a stall: p is
+        # converged when a linearized step would lower the cost by less
+        # than REL_RESID_TOL of it.
+        promised = np.linalg.qr(J)[0].T @ r
+        converged = float(promised @ promised) <= REL_RESID_TOL * cost
     if stalled and not converged and cost > 0:
         # LM damping underflowed the trust region; try a simplex walk
         # from the current point (deterministic)
@@ -344,10 +359,10 @@ def _fit_exponentials(t, y, k, offset=False, rates0=None):
     # d/d ln r_j of c_j exp(-r_j t) is -c_j r_j t exp(-r_j t)
     rates = np.exp(np.minimum(log_rates, MAX_LOG_RATE))
     jac = np.column_stack([basis, -basis[:, :k] * t[:, None] * (c[:k] * rates)])
-    # nlls_minimize flags convergence on an accepted step only; when one
-    # Gauss-Newton step lands on the optimum, rounding can reject every
-    # later trial.  The end point is also converged when a linearized step
-    # would lower the cost by less than REL_RESID_TOL of it.
+    # nlls_minimize applies this test where LM stalls; it is repeated here
+    # for a fit that reached the optimum and ran on to EXP_MAX_ITERATIONS:
+    # the end point is converged when a linearized step would lower the
+    # cost by less than REL_RESID_TOL of it.
     promised = np.linalg.qr(jac)[0].T @ r
     converged = res.converged or float(promised @ promised) <= REL_RESID_TOL * float(r @ r)
     return FitResult(params=q, residual_norm=res.residual_norm,
@@ -427,6 +442,26 @@ def _linear_growth_rate(g_e, kappa_c, kappa_s, gamma, inversion0):
         [0.0, -2.0 * g_e * inversion0, -(gamma + kappa_s)],
     ])
     return float(np.max(np.linalg.eigvals(a).real))
+
+
+def _coupling_for_growth_rate(rate, kappa_c, kappa_s, gamma, inversion0):
+    """The g_e whose _linear_growth_rate is rate, or None.
+
+    det(A(g) - rate I) = 0 for the gain matrix A gives
+    g^2 = (kappa_c + rate)(h + rate)(G + rate) / (2 inversion0 (kappa_c + G + 2 rate))
+    with h = (kappa_c + gamma + kappa_s)/2 and G = gamma + kappa_s.  For
+    rate >= 0 the right-hand side strictly increases with rate, so the
+    root is unique and it is the largest eigenvalue.  None when rate <= 0,
+    inversion0 <= 0, or g_e lies outside [rate/6, 6 rate], the range the
+    feature stage accepts.
+    """
+    if not (rate > 0 and inversion0 > 0):
+        return None
+    half_width = 0.5 * (kappa_c + gamma + kappa_s)
+    pair_decay = gamma + kappa_s
+    g_e = math.sqrt((kappa_c + rate) * (half_width + rate) * (pair_decay + rate)
+                    / (2.0 * inversion0 * (kappa_c + pair_decay + 2.0 * rate)))
+    return g_e if rate / 6.0 <= g_e <= 6.0 * rate else None
 
 
 def _measure_growth_rate(t, n, n_bar):
@@ -589,19 +624,12 @@ def _feature_initialize(t, y_data, init, fixed, simulate):
     if lam_data is None or slope_data is None or lam_data <= 0:
         return g_e, kappa_s, n_spins    # features unusable; keep caller's guess
 
-    from scipy.optimize import brentq
-
-    def eig(g):
-        return _linear_growth_rate(g, kc, kappa_s, gamma, inv0)
-
     # first pass: invert the eigenvalue directly (systematically biased
     # a few percent low because the rise is not purely single-mode; the
     # loop below removes the bias)
-    try:
-        g_e = brentq(lambda g: eig(g) - lam_data, lam_data / 6.0, 6.0 * lam_data,
-                     xtol=1e-8 * lam_data)
-    except ValueError:
-        return g_e, kappa_s, n_spins
+    g_e = _coupling_for_growth_rate(lam_data, kc, kappa_s, gamma, inv0)
+    if g_e is None:
+        return init
 
     previous = None
     for _ in range(10):
@@ -615,11 +643,8 @@ def _feature_initialize(t, y_data, init, fixed, simulate):
         if lam_sim is None or slope_sim is None:
             break
         target = _linear_growth_rate(g_e, kc, kappa_s, gamma, inv0) + (lam_data - lam_sim)
-        try:
-            g_new = brentq(
-                lambda g: _linear_growth_rate(g, kc, kappa_s, gamma, inv0) - target,
-                target / 6.0, 6.0 * target, xtol=1e-8 * target)
-        except ValueError:
+        g_new = _coupling_for_growth_rate(target, kc, kappa_s, gamma, inv0)
+        if g_new is None:
             break
         if previous is None:
             ks_new = kappa_s * 1.12    # bootstrap the secant with a second point

@@ -251,6 +251,71 @@ def test_kept_steps_solve_is_bit_identical_to_simulate_maser():
     assert len(solve.record) // cqed._RECORD > 1000
 
 
+def reference_rk45(rhs, c, t0, t1, y0, rtol, atol):
+    """Reference: the Dormand-Prince 5(4) loop written generically over the
+    state components, with the integrator's tableau, controller and record."""
+    record = []
+    t, y = t0, y0
+    f = rhs(t, y, c)
+    h_abs = cqed._initial_step(rhs, c, t0, t1, y0, f, rtol, atol)
+    while t < t1:
+        h_abs = max(h_abs, 10.0 * (math.nextafter(t, math.inf) - t))
+        rejected = False
+        while True:
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            k1 = f
+            k2 = rhs(t + cqed._C2 * h, [a + (cqed._A21 * p) * h for a, p in zip(y, k1)], c)
+            k3 = rhs(t + cqed._C3 * h, [a + (cqed._A31 * p + cqed._A32 * q) * h
+                                        for a, p, q in zip(y, k1, k2)], c)
+            k4 = rhs(t + cqed._C4 * h, [a + (cqed._A41 * p + cqed._A42 * q + cqed._A43 * r) * h
+                                        for a, p, q, r in zip(y, k1, k2, k3)], c)
+            k5 = rhs(t + cqed._C5 * h, [a + (cqed._A51 * p + cqed._A52 * q + cqed._A53 * r
+                                             + cqed._A54 * s) * h
+                                        for a, p, q, r, s in zip(y, k1, k2, k3, k4)], c)
+            k6 = rhs(t + h, [a + (cqed._A61 * p + cqed._A62 * q + cqed._A63 * r
+                                  + cqed._A64 * s + cqed._A65 * u) * h
+                             for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)], c)
+            y_new = [a + h * (cqed._B1 * p + cqed._B3 * r + cqed._B4 * s + cqed._B5 * u
+                              + cqed._B6 * v)
+                     for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
+            k7 = rhs(t + h, y_new, c)
+            error_norm = cqed._rms([
+                (cqed._E1 * p + cqed._E3 * r + cqed._E4 * s + cqed._E5 * u + cqed._E6 * v
+                 + cqed._E7 * w) * h / (atol + max(abs(a), abs(b)) * rtol)
+                for a, b, p, r, s, u, v, w in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = cqed._MAX_FACTOR
+                else:
+                    factor = min(cqed._MAX_FACTOR,
+                                 cqed._SAFETY * error_norm ** cqed._ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs = h * factor
+                break
+            h_abs = h * max(cqed._MIN_FACTOR, cqed._SAFETY * error_norm ** cqed._ERROR_EXPONENT)
+            rejected = True
+        record.extend((t, t_new, *y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+        t, y, f = t_new, y_new, k7
+    return np.array(record)
+
+
+def test_unrolled_steps_are_bit_identical_to_the_generic_loop():
+    cases = [(dataclasses.replace(REF_PARAMS, g_e=fg * REF_PARAMS.g_e,
+                                  kappa_s=fk * REF_PARAMS.kappa_s,
+                                  n_spins=fn * REF_PARAMS.n_spins),
+              1.5e-5, np.linspace(0.0, 1.5e-5, 600), cqed.DEFAULT_RTOL, cqed.DEFAULT_ATOL)
+             for fg, fk, fn in itertools.product((0.7, 1.0, 1.3), repeat=3)]
+    cases.append((dataclasses.replace(REF_PARAMS, delta=3e5), 1.2e-5,
+                  np.linspace(4e-6, 9e-6, 50), 1e-6, 1e-16))
+    for params, t1, t_eval, rtol, atol in cases:
+        y0, c, _ = cqed._scaled_start(params, REF_INIT)
+        record = cqed._integrate_rk45(_scaled_rhs, c, 0.0, t1, y0, t_eval, rtol, atol)
+        reference = reference_rk45(_scaled_rhs, c, 0.0, t1, y0, rtol, atol)
+        assert bytes(record) == reference.tobytes(), params
+
+
 def scaled_params(p):
     """REF_PARAMS at p = log10 (g_e, kappa_s, n_spins)."""
     return dataclasses.replace(REF_PARAMS, g_e=10.0 ** p[0], kappa_s=10.0 ** p[1],

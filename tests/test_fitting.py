@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -146,6 +147,29 @@ def test_biexp_restarted_at_its_optimum_converges():
         assert again.alpha_plus == pytest.approx(fit.alpha_plus, rel=1e-6), seed
 
 
+def test_lm_stalled_at_the_optimum_is_converged(monkeypatch):
+    # From the optimum of a biexponential every trial step is rejected by
+    # rounding; the linearized-decrease test must report convergence
+    # without the Nelder-Mead walk.
+    import scipy.optimize
+
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("Nelder-Mead ran")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_simplex)
+    clean, _ = biexp_trepr()
+    trace, _ = biexp_trepr(noise_rms=0.01 * float(np.max(np.abs(clean.y))), seed=3)
+    t = trace.t
+    optimum = fitting._fit_exponentials(t, trace.y, 2).params
+
+    def model(p):
+        return p[0] * np.exp(-np.exp(p[2]) * t) + p[1] * np.exp(-np.exp(p[3]) * t)
+
+    res = nlls_minimize(FitProblem(model=model, data=trace, init=optimum))
+    assert np.array_equal(res.params, optimum)    # no trial step was accepted
+    assert res.converged
+
+
 def test_biexp_error_cases():
     t = np.linspace(0.0, 1e-5, 100)
     with pytest.raises(NumericalError):
@@ -156,6 +180,29 @@ def test_biexp_error_cases():
 
 # ---------------------------------------------------------------------------
 # maser burst
+
+
+def test_growth_rate_inverse_round_trips():
+    base = BURST_DEFAULTS
+    worst = 0.0
+    for fg, fk, fi in itertools.product((0.7, 1.0, 1.3), repeat=3):
+        g_e, kappa_s, inv0 = fg * base["g_e"], fk * base["kappa_s"], fi * base["inversion0"]
+        rate = fitting._linear_growth_rate(g_e, base["kappa_c"], kappa_s, base["gamma"], inv0)
+        back = fitting._coupling_for_growth_rate(rate, base["kappa_c"], kappa_s,
+                                                 base["gamma"], inv0)
+        worst = max(worst, abs(back / g_e - 1.0))
+    assert worst < 1e-12
+
+
+def test_growth_rate_inverse_outside_its_range_is_none():
+    kc, ks, gamma = BURST_DEFAULTS["kappa_c"], BURST_DEFAULTS["kappa_s"], BURST_DEFAULTS["gamma"]
+    inverse = fitting._coupling_for_growth_rate
+    assert inverse(0.0, kc, ks, gamma, 0.52) is None
+    assert inverse(-1e6, kc, ks, gamma, 0.52) is None
+    assert inverse(1e7, kc, ks, gamma, 0.0) is None
+    assert inverse(1e3, kc, ks, gamma, 0.52) is None      # root above 6 x rate
+    assert inverse(1e12, kc, ks, gamma, 10.0) is None     # root below rate / 6
+    assert inverse(1e9, kc, ks, gamma, 0.52) is not None
 
 
 def test_maser_fit_recovers_parameters_from_perturbed_start():
@@ -340,7 +387,7 @@ def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
         "fixed = {k: meta[k] for k in ('kappa_c', 'gamma', 'n_bar', 'inversion0', 'delta')}\n"
         "truth = np.array([meta['g_e'], meta['kappa_s'], meta['n_spins']])\n"
         "fit_maser_parameters(trace, fixed, truth)\n"
-        "loaded = [m for m in sys.modules if m.startswith('scipy.integrate')]\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(package.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
