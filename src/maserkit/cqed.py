@@ -238,13 +238,13 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
     The method, error norm, step-size controller, minimum step and dense
     output are those of scipy's solve_ivp(method="RK45") with max_step
     unbounded, so the two take the same steps.  The stages are unrolled
-    over the five state components: each is the generic per-component
+    over the five state components, each the generic per-component
     expression with the same operations in the same order, so the record
-    is bit-identical to that of a loop over the components; rhs is called
-    once per stage.  Returns the record of
-    every accepted step, one flat float array of _RECORD floats per step,
-    which _dense_output turns into the states at t_eval and
-    _log_photon_sensitivity into their derivatives.
+    is bit-identical to that of a loop over the components; rhs is still
+    called once per stage.  Returns the record of every accepted step,
+    one flat float array of _RECORD floats per step, which _dense_output
+    turns into the states at t_eval and _log_photon_sensitivity into
+    their derivatives.
 
     Raises IntegrationFailureError, carrying the last output time reached,
     when the step size falls below ten float spacings of t, the arithmetic
@@ -256,10 +256,7 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
     done = 0
     attempts = 0
     t = t0
-    # The five state components and the stages k1..k7 (p, q, r, s, u, v,
-    # w) as scalar locals: each expression is the generic per-component
-    # stage sum, a + (A_i1 p + ... ) h, with its operations in the same
-    # order, so the steps are those of a loop over the components.
+    # Components of y are a0..a4, of y_new b0..b4, of k1..k7 p, q, r, s, u, v, w.
     a0, a1, a2, a3, a4 = y0
     try:
         f = rhs(t, y0, c)
