@@ -25,15 +25,17 @@ There is one integrator, _integrate_rk45: the adaptive embedded
 Runge-Kutta 5(4) pair of Dormand and Prince with Shampine's quartic
 dense output.  It runs scipy RK45's method in-house on Python floats:
 the same tableau, initial-step rule, error norm, step-size controller
-and minimum step, so it takes the steps and right-hand-side calls that
-solve_ivp(method="RK45") takes, without scipy's per-step array overhead,
-which outweighed the five-state right-hand side.  The stages are
-unrolled over the five state components as scalar locals, with the float
-operations of a generic loop over the components in the same order, so
-the steps are bit-identical to that loop's.  The method must stay
-because the maser fit's success depends on its truncation error: with
-DOP853 in its place, fits started from (kappa_s, N) = 0.7 x truth end
-2-4% off while reporting convergence.
+and minimum step, so it takes the steps and right-hand-side evaluations
+that solve_ivp(method="RK45") takes, without scipy's per-step array
+overhead, which outweighed the five-state right-hand side.  The stages
+are unrolled over the five state components as scalar locals, and
+stages k2..k7 evaluate the right-hand side inline instead of calling
+_scaled_rhs, with the float operations of a generic loop over the
+components that calls _scaled_rhs, in the same order; so the steps are
+bit-identical to that loop's.  The method must stay because the maser
+fit's success depends on its truncation error: with DOP853 in its
+place, fits started from (kappa_s, N) = 0.7 x truth end 2-4% off while
+reporting convergence.
 
 The integrator keeps every accepted step.  simulate_maser samples one
 solve on an output grid.  The maser fit solves with _solve_burst (its
@@ -146,6 +148,7 @@ def _rhs_coefficients(p):
     )
 
 
+# The reference right-hand side: _integrate_rk45 inlines it term by term.
 def _scaled_rhs(t, y, c):
     # State scaled by N: y = (n/N, Re c/N, Im c/N, sz, ss/N); c from _rhs_coefficients.
     n, cr, ci, sz, ss = y
@@ -232,19 +235,23 @@ def _dense_output(record, t_eval):
     return (rec[step, 2:7] + h[:, None] * np.einsum("pij,pj->pi", q, powers)).T
 
 
-def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
-    """Integrate y' = rhs(t, y, c) from t0 to t1 on Python floats.
+def _integrate_rk45(c, t0, t1, y0, t_eval, rtol, atol):
+    """Integrate y' = _scaled_rhs(t, y, c) from t0 to t1 on Python floats.
 
     The method, error norm, step-size controller, minimum step and dense
     output are those of scipy's solve_ivp(method="RK45") with max_step
     unbounded, so the two take the same steps.  The stages are unrolled
     over the five state components, each the generic per-component
-    expression with the same operations in the same order, so the record
-    is bit-identical to that of a loop over the components; rhs is still
-    called once per stage.  Returns the record of every accepted step,
-    one flat float array of _RECORD floats per step, which _dense_output
-    turns into the states at t_eval and _log_photon_sensitivity into
-    their derivatives.
+    expression with the same operations in the same order, and stages
+    k2..k7 evaluate the right-hand side inline, term by term as
+    _scaled_rhs does; only the first stage and _initial_step call it.  So
+    the record is bit-identical to that of a generic loop over the
+    components calling _scaled_rhs.  Returns the record of every accepted
+    step, one flat float array of _RECORD floats per step, which
+    _dense_output turns into the states at t_eval and
+    _log_photon_sensitivity into their derivatives, and the number of
+    right-hand-side evaluations, 2 + 6 per step attempt, as scipy counts
+    them.
 
     Raises IntegrationFailureError, carrying the last output time reached,
     when the step size falls below ten float spacings of t, the arithmetic
@@ -256,17 +263,27 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
     done = 0
     attempts = 0
     t = t0
-    # Components of y are a0..a4, of y_new b0..b4, of k1..k7 p, q, r, s, u, v, w.
+    # Negation is exact, so -x * y below rounds as (-x) * y in _scaled_rhs.
+    kappa_c, feed, half_width, delta, g_e, two_g, four_g, gamma, n_spins, pair_weight, \
+        pair_decay = c
+    neg_kappa_c, neg_half_width, neg_gamma, neg_pair_decay = (
+        -kappa_c, -half_width, -gamma, -pair_decay)
+    A21, A31, A32, A41, A42, A43 = _A21, _A31, _A32, _A41, _A42, _A43
+    A51, A52, A53, A54 = _A51, _A52, _A53, _A54
+    A61, A62, A63, A64, A65 = _A61, _A62, _A63, _A64, _A65
+    B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
+    E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
+    # Components of y are a0..a4, of y_new b0..b4, of k1..k7 p, q, r, s, u, v, w;
+    # n, cr, ci, sz, ss is the state at which a stage evaluates the right-hand side.
     a0, a1, a2, a3, a4 = y0
     try:
-        f = rhs(t, y0, c)
-        h_abs = _initial_step(rhs, c, t0, t1, y0, f, rtol, atol)
+        f = _scaled_rhs(t, y0, c)
+        h_abs = _initial_step(_scaled_rhs, c, t0, t1, y0, f, rtol, atol)
+        p0, p1, p2, p3, p4 = f
         while t < t1:
             min_step = 10.0 * (math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
             rejected = False
-            k1 = f
-            p0, p1, p2, p3, p4 = k1
             while True:
                 if not h_abs >= min_step:
                     raise _stalled(t_out, done, t0, "Required step size is less than "
@@ -277,54 +294,84 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
                                    "end of the span")
                 t_new = min(t + h_abs, t1)
                 h = t_new - t
-                k2 = rhs(t + _C2 * h, (a0 + (_A21 * p0) * h, a1 + (_A21 * p1) * h,
-                                       a2 + (_A21 * p2) * h, a3 + (_A21 * p3) * h,
-                                       a4 + (_A21 * p4) * h), c)
-                q0, q1, q2, q3, q4 = k2
-                k3 = rhs(t + _C3 * h, (a0 + (_A31 * p0 + _A32 * q0) * h,
-                                       a1 + (_A31 * p1 + _A32 * q1) * h,
-                                       a2 + (_A31 * p2 + _A32 * q2) * h,
-                                       a3 + (_A31 * p3 + _A32 * q3) * h,
-                                       a4 + (_A31 * p4 + _A32 * q4) * h), c)
-                r0, r1, r2, r3, r4 = k3
-                k4 = rhs(t + _C4 * h, (a0 + (_A41 * p0 + _A42 * q0 + _A43 * r0) * h,
-                                       a1 + (_A41 * p1 + _A42 * q1 + _A43 * r1) * h,
-                                       a2 + (_A41 * p2 + _A42 * q2 + _A43 * r2) * h,
-                                       a3 + (_A41 * p3 + _A42 * q3 + _A43 * r3) * h,
-                                       a4 + (_A41 * p4 + _A42 * q4 + _A43 * r4) * h), c)
-                s0, s1, s2, s3, s4 = k4
-                k5 = rhs(t + _C5 * h, (a0 + (_A51 * p0 + _A52 * q0 + _A53 * r0 + _A54 * s0) * h,
-                                       a1 + (_A51 * p1 + _A52 * q1 + _A53 * r1 + _A54 * s1) * h,
-                                       a2 + (_A51 * p2 + _A52 * q2 + _A53 * r2 + _A54 * s2) * h,
-                                       a3 + (_A51 * p3 + _A52 * q3 + _A53 * r3 + _A54 * s3) * h,
-                                       a4 + (_A51 * p4 + _A52 * q4 + _A53 * r4 + _A54 * s4) * h),
-                         c)
-                u0, u1, u2, u3, u4 = k5
-                k6 = rhs(t + h, (
-                    a0 + (_A61 * p0 + _A62 * q0 + _A63 * r0 + _A64 * s0 + _A65 * u0) * h,
-                    a1 + (_A61 * p1 + _A62 * q1 + _A63 * r1 + _A64 * s1 + _A65 * u1) * h,
-                    a2 + (_A61 * p2 + _A62 * q2 + _A63 * r2 + _A64 * s2 + _A65 * u2) * h,
-                    a3 + (_A61 * p3 + _A62 * q3 + _A63 * r3 + _A64 * s3 + _A65 * u3) * h,
-                    a4 + (_A61 * p4 + _A62 * q4 + _A63 * r4 + _A64 * s4 + _A65 * u4) * h), c)
-                v0, v1, v2, v3, v4 = k6
-                b0 = a0 + h * (_B1 * p0 + _B3 * r0 + _B4 * s0 + _B5 * u0 + _B6 * v0)
-                b1 = a1 + h * (_B1 * p1 + _B3 * r1 + _B4 * s1 + _B5 * u1 + _B6 * v1)
-                b2 = a2 + h * (_B1 * p2 + _B3 * r2 + _B4 * s2 + _B5 * u2 + _B6 * v2)
-                b3 = a3 + h * (_B1 * p3 + _B3 * r3 + _B4 * s3 + _B5 * u3 + _B6 * v3)
-                b4 = a4 + h * (_B1 * p4 + _B3 * r4 + _B4 * s4 + _B5 * u4 + _B6 * v4)
-                k7 = rhs(t + h, (b0, b1, b2, b3, b4), c)
-                w0, w1, w2, w3, w4 = k7
+                n = a0 + (A21 * p0) * h
+                cr = a1 + (A21 * p1) * h
+                ci = a2 + (A21 * p2) * h
+                sz = a3 + (A21 * p3) * h
+                ss = a4 + (A21 * p4) * h
+                q0 = neg_kappa_c * n + feed - two_g * ci
+                q1 = neg_half_width * cr + delta * ci
+                q2 = (neg_half_width * ci - delta * cr
+                      - g_e * (0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz))
+                q3 = neg_gamma * sz + four_g * ci
+                q4 = neg_pair_decay * ss - two_g * sz * ci
+                n = a0 + (A31 * p0 + A32 * q0) * h
+                cr = a1 + (A31 * p1 + A32 * q1) * h
+                ci = a2 + (A31 * p2 + A32 * q2) * h
+                sz = a3 + (A31 * p3 + A32 * q3) * h
+                ss = a4 + (A31 * p4 + A32 * q4) * h
+                r0 = neg_kappa_c * n + feed - two_g * ci
+                r1 = neg_half_width * cr + delta * ci
+                r2 = (neg_half_width * ci - delta * cr
+                      - g_e * (0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz))
+                r3 = neg_gamma * sz + four_g * ci
+                r4 = neg_pair_decay * ss - two_g * sz * ci
+                n = a0 + (A41 * p0 + A42 * q0 + A43 * r0) * h
+                cr = a1 + (A41 * p1 + A42 * q1 + A43 * r1) * h
+                ci = a2 + (A41 * p2 + A42 * q2 + A43 * r2) * h
+                sz = a3 + (A41 * p3 + A42 * q3 + A43 * r3) * h
+                ss = a4 + (A41 * p4 + A42 * q4 + A43 * r4) * h
+                s0 = neg_kappa_c * n + feed - two_g * ci
+                s1 = neg_half_width * cr + delta * ci
+                s2 = (neg_half_width * ci - delta * cr
+                      - g_e * (0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz))
+                s3 = neg_gamma * sz + four_g * ci
+                s4 = neg_pair_decay * ss - two_g * sz * ci
+                n = a0 + (A51 * p0 + A52 * q0 + A53 * r0 + A54 * s0) * h
+                cr = a1 + (A51 * p1 + A52 * q1 + A53 * r1 + A54 * s1) * h
+                ci = a2 + (A51 * p2 + A52 * q2 + A53 * r2 + A54 * s2) * h
+                sz = a3 + (A51 * p3 + A52 * q3 + A53 * r3 + A54 * s3) * h
+                ss = a4 + (A51 * p4 + A52 * q4 + A53 * r4 + A54 * s4) * h
+                u0 = neg_kappa_c * n + feed - two_g * ci
+                u1 = neg_half_width * cr + delta * ci
+                u2 = (neg_half_width * ci - delta * cr
+                      - g_e * (0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz))
+                u3 = neg_gamma * sz + four_g * ci
+                u4 = neg_pair_decay * ss - two_g * sz * ci
+                n = a0 + (A61 * p0 + A62 * q0 + A63 * r0 + A64 * s0 + A65 * u0) * h
+                cr = a1 + (A61 * p1 + A62 * q1 + A63 * r1 + A64 * s1 + A65 * u1) * h
+                ci = a2 + (A61 * p2 + A62 * q2 + A63 * r2 + A64 * s2 + A65 * u2) * h
+                sz = a3 + (A61 * p3 + A62 * q3 + A63 * r3 + A64 * s3 + A65 * u3) * h
+                ss = a4 + (A61 * p4 + A62 * q4 + A63 * r4 + A64 * s4 + A65 * u4) * h
+                v0 = neg_kappa_c * n + feed - two_g * ci
+                v1 = neg_half_width * cr + delta * ci
+                v2 = (neg_half_width * ci - delta * cr
+                      - g_e * (0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz))
+                v3 = neg_gamma * sz + four_g * ci
+                v4 = neg_pair_decay * ss - two_g * sz * ci
+                b0 = a0 + h * (B1 * p0 + B3 * r0 + B4 * s0 + B5 * u0 + B6 * v0)
+                b1 = a1 + h * (B1 * p1 + B3 * r1 + B4 * s1 + B5 * u1 + B6 * v1)
+                b2 = a2 + h * (B1 * p2 + B3 * r2 + B4 * s2 + B5 * u2 + B6 * v2)
+                b3 = a3 + h * (B1 * p3 + B3 * r3 + B4 * s3 + B5 * u3 + B6 * v3)
+                b4 = a4 + h * (B1 * p4 + B3 * r4 + B4 * s4 + B5 * u4 + B6 * v4)
+                w0 = neg_kappa_c * b0 + feed - two_g * b2
+                w1 = neg_half_width * b1 + delta * b2
+                w2 = (neg_half_width * b2 - delta * b1
+                      - g_e * (0.5 * (b3 + 1.0) / n_spins + pair_weight * b4 + b0 * b3))
+                w3 = neg_gamma * b3 + four_g * b2
+                w4 = neg_pair_decay * b4 - two_g * b3 * b2
+                # atol + max(|a|, |b|) rtol, with the choice max() makes, NaN included
                 error_norm = _rms((
-                    (_E1 * p0 + _E3 * r0 + _E4 * s0 + _E5 * u0 + _E6 * v0 + _E7 * w0) * h
-                    / (atol + max(abs(a0), abs(b0)) * rtol),
-                    (_E1 * p1 + _E3 * r1 + _E4 * s1 + _E5 * u1 + _E6 * v1 + _E7 * w1) * h
-                    / (atol + max(abs(a1), abs(b1)) * rtol),
-                    (_E1 * p2 + _E3 * r2 + _E4 * s2 + _E5 * u2 + _E6 * v2 + _E7 * w2) * h
-                    / (atol + max(abs(a2), abs(b2)) * rtol),
-                    (_E1 * p3 + _E3 * r3 + _E4 * s3 + _E5 * u3 + _E6 * v3 + _E7 * w3) * h
-                    / (atol + max(abs(a3), abs(b3)) * rtol),
-                    (_E1 * p4 + _E3 * r4 + _E4 * s4 + _E5 * u4 + _E6 * v4 + _E7 * w4) * h
-                    / (atol + max(abs(a4), abs(b4)) * rtol)))
+                    (E1 * p0 + E3 * r0 + E4 * s0 + E5 * u0 + E6 * v0 + E7 * w0) * h
+                    / (atol + (abs(b0) if abs(b0) > abs(a0) else abs(a0)) * rtol),
+                    (E1 * p1 + E3 * r1 + E4 * s1 + E5 * u1 + E6 * v1 + E7 * w1) * h
+                    / (atol + (abs(b1) if abs(b1) > abs(a1) else abs(a1)) * rtol),
+                    (E1 * p2 + E3 * r2 + E4 * s2 + E5 * u2 + E6 * v2 + E7 * w2) * h
+                    / (atol + (abs(b2) if abs(b2) > abs(a2) else abs(a2)) * rtol),
+                    (E1 * p3 + E3 * r3 + E4 * s3 + E5 * u3 + E6 * v3 + E7 * w3) * h
+                    / (atol + (abs(b3) if abs(b3) > abs(a3) else abs(a3)) * rtol),
+                    (E1 * p4 + E3 * r4 + E4 * s4 + E5 * u4 + E6 * v4 + E7 * w4) * h
+                    / (atol + (abs(b4) if abs(b4) > abs(a4) else abs(a4)) * rtol)))
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = _MAX_FACTOR
@@ -336,13 +383,16 @@ def _integrate_rk45(rhs, c, t0, t1, y0, t_eval, rtol, atol):
                     break
                 h_abs = h * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 rejected = True
-            record.extend((t, t_new, a0, a1, a2, a3, a4, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+            record.extend((t, t_new, a0, a1, a2, a3, a4, p0, p1, p2, p3, p4,
+                           q0, q1, q2, q3, q4, r0, r1, r2, r3, r4, s0, s1, s2, s3, s4,
+                           u0, u1, u2, u3, u4, v0, v1, v2, v3, v4, w0, w1, w2, w3, w4))
             done = bisect_right(t_out, t_new, done)
-            t, f = t_new, k7
+            t = t_new
             a0, a1, a2, a3, a4 = b0, b1, b2, b3, b4
+            p0, p1, p2, p3, p4 = w0, w1, w2, w3, w4
     except ArithmeticError as exc:
         raise _stalled(t_out, done, t0, f"arithmetic failure ({exc})") from None
-    return record
+    return record, 2 + 6 * attempts
 
 
 # The stage tableau as one table: row i builds the state of stage i + 1
@@ -421,8 +471,8 @@ def _solve_burst(params, init, t_eval):
     IntegrationFailureError as simulate_maser does.
     """
     y0, coeffs, N = _scaled_start(params, init)
-    record = _integrate_rk45(_scaled_rhs, coeffs, float(t_eval[0]), float(t_eval[-1]), y0,
-                             t_eval, DEFAULT_RTOL, DEFAULT_ATOL)
+    record, _ = _integrate_rk45(coeffs, float(t_eval[0]), float(t_eval[-1]), y0, t_eval,
+                                DEFAULT_RTOL, DEFAULT_ATOL)
     return _BurstSolve(params, y0, coeffs, t_eval, record,
                        _dense_output(record, t_eval)[0] * N)
 
@@ -552,8 +602,8 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
             raise ValueError("Values in `t_eval` are not properly sorted.")
 
     y0, coeffs, N = _scaled_start(params, init)
-    y = _dense_output(_integrate_rk45(_scaled_rhs, coeffs, t0, t1, y0, t_eval,
-                                      float(rtol), float(atol)), t_eval)
+    record, _ = _integrate_rk45(coeffs, t0, t1, y0, t_eval, float(rtol), float(atol))
+    y = _dense_output(record, t_eval)
     return MaserTrajectory(
         t=t_eval,
         photon_number=y[0] * N,

@@ -141,8 +141,10 @@ def fit_tcspc(trace, n_components):
 
     Returns a TcspcFit with converged=False instead of raising when the
     data cannot support the requested component count: when the
-    optimizer stops without converging, an amplitude is not positive or
-    a lifetime is not finite.
+    optimizer stops without converging, an amplitude is not positive, a
+    lifetime is not finite, or a lifetime is shorter than the sampling
+    interval (a component that decays within one channel fits the
+    Poisson noise of the peak channel, not a decay).
     """
     if n_components not in (1, 2, 3):
         raise InvalidInputError(f"n_components must be 1, 2, or 3, got {n_components!r}")
@@ -166,7 +168,8 @@ def fit_tcspc(trace, n_components):
         lifetimes_ns=tuple(tau * 1e9 for tau in taus),
         amplitudes=tuple(a / total for a in amps),
         residual_norm=res.residual_norm,
-        converged=bool(res.converged and np.all(amps > 0) and np.all(np.isfinite(taus))))
+        converged=bool(res.converged and np.all(amps > 0) and np.all(np.isfinite(taus))
+                       and np.all(taus >= np.min(np.diff(t_tail)))))
 
 
 # ---------------------------------------------------------------------------

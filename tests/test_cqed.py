@@ -158,17 +158,20 @@ def scipy_rk45(params, init, t_span, t_eval):
 
 def test_simulation_takes_scipy_rk45_steps(monkeypatch):
     # Same method, controller and step sequence: exactly scipy's number of
-    # RHS calls.  The values agree to rounding amplified by the burst: on the
-    # (1.3, 1, 0.7) corner a one-ulp change of the initial inversion alone
-    # moves log10 n by 1e-8, so the bound sits ten times above that and far
-    # below the method's own truncation error, 8e-4 dex.
+    # RHS calls, as the integrator counts them.  The values agree to rounding
+    # amplified by the burst: on the (1.3, 1, 0.7) corner a one-ulp change of
+    # the initial inversion alone moves log10 n by 1e-8, so the bound sits
+    # ten times above that and far below the method's own truncation error,
+    # 8e-4 dex.
     calls = []
+    integrate = cqed._integrate_rk45
 
-    def counted(t, y, c):
-        calls.append(t)
-        return _scaled_rhs(t, y, c)
+    def counted(*args):
+        record, rhs_calls = integrate(*args)
+        calls.append(rhs_calls)
+        return record, rhs_calls
 
-    monkeypatch.setattr(cqed, "_scaled_rhs", counted)
+    monkeypatch.setattr(cqed, "_integrate_rk45", counted)
     worst = 0.0
     for fg, fk, fn in itertools.product((0.7, 1.0, 1.3), repeat=3):
         params = dataclasses.replace(REF_PARAMS, g_e=fg * REF_PARAMS.g_e,
@@ -177,7 +180,7 @@ def test_simulation_takes_scipy_rk45_steps(monkeypatch):
         calls.clear()
         traj = simulate_maser(params, REF_INIT, (0.0, 1.5e-5))
         ref, nfev = scipy_rk45(params, REF_INIT, (0.0, 1.5e-5), traj.t)
-        assert len(calls) == nfev, (fg, fk, fn)
+        assert calls == [nfev], (fg, fk, fn)
         worst = max(worst, np.max(np.abs(np.log10(traj.photon_number) - np.log10(ref))))
     assert worst < 1e-7
 
@@ -302,18 +305,42 @@ def reference_rk45(rhs, c, t0, t1, y0, rtol, atol):
 
 
 def test_unrolled_steps_are_bit_identical_to_the_generic_loop():
+    # The reference calls _scaled_rhs at every stage, so this also pins the
+    # kernel's inlined right-hand side to it bit for bit.  The corners start
+    # with no coherence and delta = 0, where Re <S+a> stays zero; the last
+    # cases give every term of the right-hand side weight: detuning, an
+    # initial coherence and spin correlation, and an ensemble of 1e3 spins,
+    # where (sz + 1) / 2N and 1 - 1/N differ visibly from 0 and 1.
+    grid = np.linspace(0.0, 1.5e-5, 600)
     cases = [(dataclasses.replace(REF_PARAMS, g_e=fg * REF_PARAMS.g_e,
                                   kappa_s=fk * REF_PARAMS.kappa_s,
                                   n_spins=fn * REF_PARAMS.n_spins),
-              1.5e-5, np.linspace(0.0, 1.5e-5, 600), cqed.DEFAULT_RTOL, cqed.DEFAULT_ATOL)
+              REF_INIT, 1.5e-5, grid, cqed.DEFAULT_RTOL, cqed.DEFAULT_ATOL)
              for fg, fk, fn in itertools.product((0.7, 1.0, 1.3), repeat=3)]
-    cases.append((dataclasses.replace(REF_PARAMS, delta=3e5), 1.2e-5,
+    cases.append((dataclasses.replace(REF_PARAMS, delta=3e5), REF_INIT, 1.2e-5,
                   np.linspace(4e-6, 9e-6, 50), 1e-6, 1e-16))
-    for params, t1, t_eval, rtol, atol in cases:
-        y0, c, _ = cqed._scaled_start(params, REF_INIT)
-        record = cqed._integrate_rk45(_scaled_rhs, c, 0.0, t1, y0, t_eval, rtol, atol)
-        reference = reference_rk45(_scaled_rhs, c, 0.0, t1, y0, rtol, atol)
-        assert bytes(record) == reference.tobytes(), params
+    cases.append((dataclasses.replace(REF_PARAMS, delta=2e6), REF_INIT, 1.5e-5, grid,
+                  cqed.DEFAULT_RTOL, cqed.DEFAULT_ATOL))
+    cases.append((REF_PARAMS, MaserState(photon_number=4097.0, coherence=1e9 - 2e9j,
+                                         inversion=0.52, spin_correlation=1e12),
+                  1.5e-5, grid, cqed.DEFAULT_RTOL, cqed.DEFAULT_ATOL))
+    cases.append((dataclasses.replace(REF_PARAMS, n_spins=1e3, n_bar=2.0),
+                  MaserState(photon_number=2.0, coherence=3.0 + 4.0j, inversion=0.8,
+                             spin_correlation=50.0),
+                  1.5e-5, grid, cqed.DEFAULT_RTOL, cqed.DEFAULT_ATOL))
+    calls = []
+
+    def rhs(t, y, c):
+        calls.append(t)
+        return _scaled_rhs(t, y, c)
+
+    for params, init, t1, t_eval, rtol, atol in cases:
+        y0, c, _ = cqed._scaled_start(params, init)
+        calls.clear()
+        record, rhs_calls = cqed._integrate_rk45(c, 0.0, t1, y0, t_eval, rtol, atol)
+        reference = reference_rk45(rhs, c, 0.0, t1, y0, rtol, atol)
+        assert bytes(record) == reference.tobytes(), (params, init)
+        assert rhs_calls == len(calls), (params, init)
 
 
 def scaled_params(p):
