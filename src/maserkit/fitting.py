@@ -8,14 +8,17 @@ than REL_RESID_TOL of it (one Gauss-Newton step reached the optimum and
 rounding rejects every later trial); otherwise a Nelder-Mead simplex
 walk, the only use of scipy in the package, takes over.  A problem may
 supply its Jacobian; otherwise it is numerically differenced (central
-differences, step max(1e-6 |p|, 1e-10)).  The maser fit supplies the
-exact Jacobian of its solver.
+differences, step max(1e-6 |p|, 1e-10)).  Both fits of the package
+supply exact Jacobians: the maser fit that of its solver, the
+exponential fits that of their projected residual.
 
 Every sum-of-exponentials fit (the biexponential trEPR fit here, the
 TCSPC tail and the SVD time profiles in spectro) goes through one
 variable-projection fitter: LM runs over the log-rates only, the
 amplitudes are the linear least-squares solution for each trial, and the
-rates start from a matrix pencil.
+rates start from a matrix pencil.  One thin SVD of the exponential basis
+per trial gives both the amplitudes and the closed-form Golub-Pereyra
+Jacobian of the projected residual.
 
 The maser fit deserves a note.  Its objective (log10 photon number of a
 simulated burst against data) is smooth in the spin count N but razor
@@ -169,6 +172,7 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
     cost_floor = 1e-24 * max(cost, 1.0)
     lam = None
     lam0 = None
+    J = None
     cond = np.inf
     iterations = 0
     converged = False
@@ -194,8 +198,6 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
         J = jacobian_at(p)
         JtJ = J.T @ J
         grad = J.T @ r
-        svals = np.linalg.svd(J, compute_uv=False)
-        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
         if lam is None:
             lam0 = LAMBDA_INIT_FACTOR * float(np.max(np.diag(JtJ)))
             lam = lam0 if lam0 > 0 else 1e-12
@@ -228,6 +230,9 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
         if converged:
             break
 
+    if J is not None:    # the condition of the last iteration's Jacobian
+        svals = np.linalg.svd(J, compute_uv=False)
+        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
     if stalled and math.isfinite(cost):
         # Every trial from p was rejected.  When one Gauss-Newton step
         # landed on the optimum that is rounding, not a stall: p is
@@ -304,8 +309,7 @@ def _pencil_rates(t, y, k, offset):
     singular vectors, are the poles and r = -ln|z| / dt (Hua & Sarkar,
     IEEE Trans. ASSP 38, 814 (1990)).  Rates are clipped to
     [0.1 / span, 10 / dt], so a pole that does not decay becomes a slow
-    component, and spread to ratios of at least 2, so a conjugate pair
-    does not start the fit on the equal-rate saddle.
+    component.
     """
     grid = np.linspace(t[0], t[-1], len(t))
     dt = grid[1] - grid[0]
@@ -316,14 +320,84 @@ def _pencil_rates(t, y, k, offset):
     poles = np.ones(k)    # too few samples for a pencil: start all slow
     if width >= k:
         hankel = np.lib.stride_tricks.sliding_window_view(samples, width + 1)
-        v = np.linalg.svd(hankel, full_matrices=False)[2][:k].T
+        # the Hankel matrix and its triangular factor R share their right
+        # singular vectors; R is (width + 1) square
+        v = np.linalg.svd(np.linalg.qr(hankel, mode="r"))[2][:k].T
         poles = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
     with np.errstate(divide="ignore"):
         rates = -np.log(np.abs(poles)) / dt
-    rates = -np.sort(-np.clip(rates, 0.1 / (t[-1] - t[0]), 10.0 / dt))   # fastest first
-    for j in range(1, k):
+    return np.clip(rates, 0.1 / (t[-1] - t[0]), 10.0 / dt)
+
+
+def _spread_rates(rates):
+    """Start rates fastest first, each at most half the one before.
+
+    On the equal-rate diagonal the basis loses rank and the projected
+    Jacobian has equal columns, so LM steps keep equal rates equal: a
+    conjugate pencil pair or an equal explicit start would leave the fit
+    on that saddle.
+    """
+    rates = -np.sort(-np.asarray(rates, dtype=float))
+    for j in range(1, len(rates)):
         rates[j] = min(rates[j], rates[j - 1] / 2.0)
     return rates
+
+
+def _rate_derivatives(t, basis, log_rates):
+    """Columns d exp(-r_j t) / d ln r_j = -r_j t exp(-r_j t) of the basis.
+
+    basis * t comes first: exp(-r t) underflows to 0 before r t can
+    overflow, so a rate at the MAX_LOG_RATE clamp gets the zero column
+    the flat clamp has (exp(-r t) is 0 for every t > 0 there).
+    """
+    rates = np.exp(np.minimum(log_rates, MAX_LOG_RATE))
+    return -(basis[:, :len(log_rates)] * t[:, None]) * rates
+
+
+class _ExpProjection:
+    """y projected on the exponential basis Phi(a) of _exp_basis, a = log-rates.
+
+    fitted(a) is Phi Phi^+ y and jacobian(a) the exact derivative of the
+    projected residual Phi Phi^+ y - y (Golub & Pereyra; in the form of
+    O'Leary & Rust, Comput. Optim. Appl. 54, 579 (2013)): column j is
+    c_j P_perp d_j - (Phi^+)^T e_j (d_j^T r), with c = Phi^+ y, P_perp the
+    projector on the orthogonal complement of the basis and d_j the
+    derivative of basis column j.  The offset column has no derivative.
+
+    Both come from one thin SVD of the basis.  Singular values at or below
+    eps max(n, p) s_max are dropped, the cutoff of lstsq(rcond=None), so
+    equal or clamped rates get the minimum-norm amplitudes.  The
+    projection keeps the factors of its last point, as _BurstModel keeps
+    its last solve, so the Jacobian at the point LM just accepted builds
+    no basis.
+    """
+
+    def __init__(self, t, y, offset):
+        self.t = t
+        self.y = y
+        self.offset = offset
+        self._factors = (None, None)     # (key, (basis, u, s, vt, amplitudes, fitted))
+
+    def factors(self, log_rates):
+        key = log_rates.tobytes()
+        if self._factors[0] != key:
+            basis = _exp_basis(self.t, log_rates, self.offset)
+            u, s, vt = np.linalg.svd(basis, full_matrices=False)
+            keep = s > np.finfo(float).eps * max(basis.shape) * s[0]
+            u, s, vt = u[:, keep], s[keep], vt[keep]
+            coef = u.T @ self.y
+            self._factors = (key, (basis, u, s, vt, vt.T @ (coef / s), u @ coef))
+        return self._factors[1]
+
+    def fitted(self, log_rates):
+        return self.factors(log_rates)[5]
+
+    def jacobian(self, log_rates):
+        basis, u, s, vt, c, fitted = self.factors(log_rates)
+        k = len(log_rates)
+        d = _rate_derivatives(self.t, basis, log_rates)
+        pinv_t = u @ (vt[:, :k] / s[:, None])    # columns (Phi^+)^T e_j
+        return (d - u @ (u.T @ d)) * c[:k] - pinv_t * (d.T @ (fitted - self.y))
 
 
 def _fit_exponentials(t, y, k, offset=False, rates0=None):
@@ -332,7 +406,10 @@ def _fit_exponentials(t, y, k, offset=False, rates0=None):
     Levenberg-Marquardt runs over the k log-rates only; for each trial the
     amplitudes are the linear least-squares solution, so the model is the
     projection of y on the basis (Golub & Pereyra, SIAM J. Numer. Anal. 10,
-    413 (1973)).  The start is rates0 when given, else the matrix pencil.
+    413 (1973)), and LM gets the exact Jacobian of that projected residual
+    from _ExpProjection: one basis and one thin SVD per trial point, none
+    for a Jacobian.  The start is rates0 when given, else the matrix
+    pencil, spread off the equal-rate saddle by _spread_rates.
 
     Returns a FitResult with params (c_1..c_k[, c_0], ln r_1..ln r_k),
     components ordered fastest first, and one-sigma errors from the
@@ -340,25 +417,17 @@ def _fit_exponentials(t, y, k, offset=False, rates0=None):
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    rates0 = _pencil_rates(t, y, k, offset) if rates0 is None else np.asarray(rates0, float)
-
-    def amplitudes(log_rates):
-        basis = _exp_basis(t, log_rates, offset)
-        return basis, np.linalg.lstsq(basis, y, rcond=None)[0]
-
-    def model(log_rates):
-        basis, c = amplitudes(log_rates)
-        return basis @ c
-
-    res = nlls_minimize(FitProblem(model=model, data=TimeTrace(t, y), init=np.log(rates0)),
+    rates0 = _spread_rates(_pencil_rates(t, y, k, offset) if rates0 is None else rates0)
+    projection = _ExpProjection(t, y, offset)
+    res = nlls_minimize(FitProblem(model=projection.fitted, jacobian=projection.jacobian,
+                                   data=TimeTrace(t, y), init=np.log(rates0)),
                         max_iterations=EXP_MAX_ITERATIONS)
     log_rates = np.sort(res.params)[::-1]
-    basis, c = amplitudes(log_rates)
+    basis, _, _, _, c, fitted = projection.factors(log_rates)
     q = np.concatenate([c, log_rates])
-    r = basis @ c - y
-    # d/d ln r_j of c_j exp(-r_j t) is -c_j r_j t exp(-r_j t)
-    rates = np.exp(np.minimum(log_rates, MAX_LOG_RATE))
-    jac = np.column_stack([basis, -basis[:, :k] * t[:, None] * (c[:k] * rates)])
+    r = fitted - y
+    # d/d ln r_j of c_j exp(-r_j t) is c_j d_j
+    jac = np.column_stack([basis, _rate_derivatives(t, basis, log_rates) * c[:k]])
     # nlls_minimize applies this test where LM stalls; it is repeated here
     # for a fit that reached the optimum and ran on to EXP_MAX_ITERATIONS:
     # the end point is converged when a linearized step would lower the
