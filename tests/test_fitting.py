@@ -203,21 +203,17 @@ def exponential_case(name):
     return matrix.delays - matrix.delays[0], profile, 1, True
 
 
-def projected_residual(projection, log_rates):
-    return fitting._residual_fn(FitProblem(
-        model=projection.fitted, data=TimeTrace(projection.t, projection.y, "dimensionless"),
-        init=log_rates))
-
-
 @pytest.mark.parametrize("name", ["tcspc1", "tcspc2", "tcspc3", "biexp", "tas"])
 def test_projection_jacobian_matches_central_differences(name):
     t, y, k, offset = exponential_case(name)
     start = np.log(fitting._spread_rates(fitting._pencil_rates(t, y, k, offset)))
     optimum = fitting._fit_exponentials(t, y, k, offset).params[-k:]
+    projection = fitting._ExpProjection(t, y, offset)
+    resid = fitting._residual_fn(FitProblem(model=projection.fitted, init=start,
+                                            data=TimeTrace(t, y, "dimensionless")))
     for log_rates in (start, optimum):
-        projection = fitting._ExpProjection(t, y, offset)
         exact = projection.jacobian(log_rates)
-        numeric = fitting._numeric_jacobian(projected_residual(projection, log_rates), log_rates)
+        numeric = fitting._numeric_jacobian(resid, log_rates)
         assert exact.shape == (len(t), k)
         # a component faster than a channel (TCSPC k = 3 at its optimum)
         # has a column of zeros, which the floor covers
