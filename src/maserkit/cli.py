@@ -489,7 +489,9 @@ def build_parser():
     p.add_argument("trace", help="two-column CSV (t_us,value)")
     p.add_argument("--unit", default="dimensionless")
     p.add_argument("--init", type=float, nargs=4, default=None,
-                   metavar=("A", "B", "ALPHA_MINUS", "ALPHA_PLUS"))
+                   metavar=("A", "B", "ALPHA_MINUS", "ALPHA_PLUS"),
+                   help="starting guess; only the rates are used, and of two "
+                        "equal rates the slower is halved")
 
     p = add("qcircle", "coupling and Q factors from Q-circle geometry", _cmd_qcircle)
     p.add_argument("--d", type=float, default=None, help="Q-circle diameter")

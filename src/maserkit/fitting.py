@@ -329,17 +329,21 @@ def _pencil_rates(t, y, k, offset):
     return np.clip(rates, 0.1 / (t[-1] - t[0]), 10.0 / dt)
 
 
-def _spread_rates(rates):
-    """Start rates fastest first, each at most half the one before.
+def _spread_rates(rates, ratio):
+    """Start rates fastest first; one within a factor ratio of the rate
+    before it is set to half that rate.
 
     On the equal-rate diagonal the basis loses rank and the projected
     Jacobian has equal columns, so LM steps keep equal rates equal: a
     conjugate pencil pair or an equal explicit start would leave the fit
-    on that saddle.
+    on that saddle.  Rates a relative sqrt(eps) apart are equal to
+    rounding there: their columns differ by that much, and J^T J, which
+    LM solves, by its square.
     """
     rates = -np.sort(-np.asarray(rates, dtype=float))
     for j in range(1, len(rates)):
-        rates[j] = min(rates[j], rates[j - 1] / 2.0)
+        if rates[j] * ratio >= rates[j - 1]:
+            rates[j] = rates[j - 1] / 2.0
     return rates
 
 
@@ -408,8 +412,9 @@ def _fit_exponentials(t, y, k, offset=False, rates0=None):
     projection of y on the basis (Golub & Pereyra, SIAM J. Numer. Anal. 10,
     413 (1973)), and LM gets the exact Jacobian of that projected residual
     from _ExpProjection: one basis and one thin SVD per trial point, none
-    for a Jacobian.  The start is rates0 when given, else the matrix
-    pencil, spread off the equal-rate saddle by _spread_rates.
+    for the Jacobian at an accepted point.  The start is the matrix pencil
+    with rates spread to ratios of at least 2, or rates0 when given, with
+    only rates equal to rounding separated (see _spread_rates).
 
     Returns a FitResult with params (c_1..c_k[, c_0], ln r_1..ln r_k),
     components ordered fastest first, and one-sigma errors from the
@@ -417,7 +422,10 @@ def _fit_exponentials(t, y, k, offset=False, rates0=None):
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    rates0 = _spread_rates(_pencil_rates(t, y, k, offset) if rates0 is None else rates0)
+    if rates0 is None:
+        rates0 = _spread_rates(_pencil_rates(t, y, k, offset), 2.0)
+    else:
+        rates0 = _spread_rates(rates0, 1.0 + math.sqrt(np.finfo(float).eps))
     projection = _ExpProjection(t, y, offset)
     res = nlls_minimize(FitProblem(model=projection.fitted, jacobian=projection.jacobian,
                                    data=TimeTrace(t, y), init=np.log(rates0)),
@@ -450,8 +458,9 @@ def fit_biexponential(trace, init=None):
     init : tuple, optional
         (A, B, alpha_minus, alpha_plus) starting guess; both rates
         negative.  Only the rates are used: the amplitudes are solved
-        for exactly at every step.  When omitted the matrix pencil
-        supplies the rates.
+        for exactly at every step.  Two rates equal to rounding would
+        stay equal, so the slower is halved.  When omitted the matrix
+        pencil supplies the rates.
 
     Returns
     -------

@@ -153,7 +153,7 @@ def test_lm_stalled_at_the_optimum_is_converged(monkeypatch):
     # without the Nelder-Mead walk.  The variable-projection optimum and
     # the optimum of this 4-parameter model agree only to rounding, so the
     # start is the fixed point of LM on the model itself, reached by
-    # rerunning it from its own result.
+    # rerunning it from its own result until a run leaves its start as is.
     import scipy.optimize
 
     def no_simplex(*args, **kwargs):
@@ -167,13 +167,14 @@ def test_lm_stalled_at_the_optimum_is_converged(monkeypatch):
     def model(p):
         return p[0] * np.exp(-np.exp(p[2]) * t) + p[1] * np.exp(-np.exp(p[3]) * t)
 
-    optimum = fitting._fit_exponentials(t, trace.y, 2).params
+    start = fitting._fit_exponentials(t, trace.y, 2).params
     for _ in range(5):
-        res = nlls_minimize(FitProblem(model=model, data=trace, init=optimum))
-        if np.array_equal(res.params, optimum):
+        res = nlls_minimize(FitProblem(model=model, data=trace, init=start))
+        if np.array_equal(res.params, start):    # no trial step was accepted
             break
-        optimum = res.params
-    assert np.array_equal(res.params, optimum)    # no trial step was accepted
+        start = res.params
+    else:
+        pytest.fail("LM still moved its start after 5 reruns")
     assert res.converged
 
 
@@ -206,7 +207,7 @@ def exponential_case(name):
 @pytest.mark.parametrize("name", ["tcspc1", "tcspc2", "tcspc3", "biexp", "tas"])
 def test_projection_jacobian_matches_central_differences(name):
     t, y, k, offset = exponential_case(name)
-    start = np.log(fitting._spread_rates(fitting._pencil_rates(t, y, k, offset)))
+    start = np.log(fitting._spread_rates(fitting._pencil_rates(t, y, k, offset), 2.0))
     optimum = fitting._fit_exponentials(t, y, k, offset).params[-k:]
     projection = fitting._ExpProjection(t, y, offset)
     resid = fitting._residual_fn(FitProblem(model=projection.fitted, init=start,
@@ -248,6 +249,23 @@ def test_degenerate_exponential_basis_is_handled():
     assert res.params[2] == fitting.MAX_LOG_RATE + 5.0
     assert res.params[3] == pytest.approx(rest.params[1], rel=1e-6)
     assert res.residual_norm == pytest.approx(rest.residual_norm, rel=1e-9)
+
+
+def test_explicit_start_is_kept_unless_rates_coincide(monkeypatch):
+    t, y, k, _ = exponential_case("biexp")
+    starts = []
+    minimize = fitting.nlls_minimize
+
+    def recorded(problem, **kwargs):
+        starts.append(np.exp(problem.init))
+        return minimize(problem, **kwargs)
+
+    monkeypatch.setattr(fitting, "nlls_minimize", recorded)
+    for rates0, expected in (((2e5, 3e5), (3e5, 2e5)),                # as given
+                             ((3e5, 3e5 * (1 - 1e-12)), (3e5, 1.5e5)),  # equal to rounding
+                             ((3e5, 3e5), (3e5, 1.5e5))):
+        fitting._fit_exponentials(t, y, k, rates0=rates0)
+        assert np.allclose(starts[-1], expected, rtol=1e-12), rates0
 
 
 def test_exponential_fit_builds_one_basis_per_residual(monkeypatch):
