@@ -2,12 +2,13 @@
 
 The core is a conventional Levenberg-Marquardt loop with Marquardt
 damping that grows tenfold on a rejected step and shrinks tenfold on
-acceptance.  When the damping underflows the trust region entirely, the
-point is converged if a linearized step would lower the cost by less
-than REL_RESID_TOL of it (one Gauss-Newton step reached the optimum and
-rounding rejects every later trial); otherwise a Nelder-Mead simplex
-walk, the only use of scipy in the package, takes over.  A problem may
-supply its Jacobian; otherwise it is numerically differenced (central
+acceptance.  A run is converged when an accepted step changes the
+parameters or the cost by a tiny relative amount, or brings the cost to
+rounding.  At any other exit (every trial rejected, or the iteration
+cap) it is converged when a linearized step would lower the cost by
+less than REL_RESID_TOL of it: the optimum was reached and rounding
+rejects or wastes every later trial.  A problem may supply its
+Jacobian; otherwise it is numerically differenced (central
 differences, step max(1e-6 |p|, 1e-10)).  Both fits of the package
 supply exact Jacobians: the maser fit that of its solver, the
 exponential fits that of their projected residual.
@@ -76,7 +77,6 @@ class FitProblem:
     model: Callable
     data: TimeTrace
     init: np.ndarray
-    bounds: Optional[list] = None
     loss_space: str = "linear"
     jacobian: Optional[Callable] = None
 
@@ -86,11 +86,6 @@ class FitProblem:
             raise InvalidInputError(f"loss_space must be linear or log10, got {self.loss_space!r}")
         if not np.all(np.isfinite(self.data.y)):
             raise InvalidInputError("data contains non-finite values")
-        if self.bounds is not None:
-            lo = np.array([b[0] for b in self.bounds], dtype=float)
-            hi = np.array([b[1] for b in self.bounds], dtype=float)
-            if np.any(self.init < lo) or np.any(self.init > hi):
-                raise InvalidInputError("initial parameters violate bounds")
 
 
 @dataclass
@@ -137,20 +132,16 @@ def _numeric_jacobian(resid, p):
     return np.column_stack(columns)
 
 
-def _clip_to_bounds(p, bounds):
-    if bounds is None:
-        return p
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return np.clip(p, lo, hi)
-
-
 def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
-    """Levenberg-Marquardt minimization with a Nelder-Mead stall fallback.
+    """Levenberg-Marquardt minimization.
 
-    A stall at a point where a linearized step would lower the cost by
-    less than REL_RESID_TOL of it is convergence, and the fallback does
-    not run.
+    A run is converged when an accepted step changes the parameters by
+    less than REL_PARAM_TOL or the cost by less than REL_RESID_TOL
+    (relative), or brings the cost to rounding.  At any other exit
+    (every trial rejected, or max_iterations reached) it is converged
+    when a linearized step from the returned point would lower the cost
+    by less than REL_RESID_TOL of it.  That test uses the Jacobian at
+    the returned point, which also gives the uncertainties.
 
     max_step optionally caps the infinity norm of each accepted step;
     the maser driver uses this to keep the polish inside its narrow
@@ -163,7 +154,7 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
             return np.asarray(problem.jacobian(q), dtype=float)
         return _numeric_jacobian(resid, q)
 
-    p = _clip_to_bounds(problem.init.copy(), problem.bounds)
+    p = problem.init.copy()
     r = resid(p)
     cost = float(r @ r)
     # absolute floor: at this cost the data is reproduced to rounding
@@ -176,12 +167,11 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
     cond = np.inf
     iterations = 0
     converged = False
-    stalled = False
 
     def accept(step):
         """Move to p + step if that lowers the cost; True when the step is taken."""
         nonlocal p, r, cost, converged
-        p_trial = _clip_to_bounds(p + step, problem.bounds)
+        p_trial = p + step
         r_trial = resid(p_trial)
         cost_trial = float(r_trial @ r_trial)
         if not cost_trial < cost:
@@ -224,60 +214,37 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
                 continue
             accepted = accept(step)
             lam = max(lam / LAMBDA_SHRINK, 1e-14) if accepted else lam * LAMBDA_GROW
-        if not accepted:
-            stalled = True
-            break
-        if converged:
+        if not accepted or converged:
             break
 
     if J is not None:    # the condition of the last iteration's Jacobian
         svals = np.linalg.svd(J, compute_uv=False)
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    if stalled and math.isfinite(cost):
-        # Every trial from p was rejected.  When one Gauss-Newton step
-        # landed on the optimum that is rounding, not a stall: p is
-        # converged when a linearized step would lower the cost by less
-        # than REL_RESID_TOL of it.
-        promised = np.linalg.qr(J)[0].T @ r
-        converged = float(promised @ promised) <= REL_RESID_TOL * cost
-    if stalled and not converged and cost > 0:
-        # LM damping underflowed the trust region; try a simplex walk
-        # from the current point (deterministic)
-        from scipy.optimize import minimize
-
-        def scalar_cost(q):
-            try:
-                rv = resid(_clip_to_bounds(q, problem.bounds))
-            except ModelEvaluationError:
-                return 1e300
-            return float(rv @ rv)
-
-        nm = minimize(scalar_cost, p, method="Nelder-Mead",
-                      options={"maxiter": 200 * len(p), "xatol": 1e-10, "fatol": 1e-12})
-        if nm.fun < cost:
-            p = _clip_to_bounds(nm.x, problem.bounds)
-            r = resid(p)
-            cost = float(r @ r)
-            iterations += int(nm.nit)
-            converged = bool(nm.success)
-
-    uncertainties = _linearized_uncertainties(jacobian_at, p, r)
-    return FitResult(params=p, residual_norm=math.sqrt(cost),
-                     jacobian_condition=cond, iterations=iterations,
-                     converged=converged, param_uncertainties=uncertainties)
-
-
-def _linearized_uncertainties(jacobian_at, p, r):
-    """One-sigma parameter errors from the linearized covariance at the optimum."""
     try:
         J = jacobian_at(p)
-        dof = max(len(r) - len(p), 1)
-        s2 = float(r @ r) / dof
-        cov = s2 * np.linalg.inv(J.T @ J)
-        var = np.diag(cov)
-        return np.sqrt(np.maximum(var, 0.0))
-    except (np.linalg.LinAlgError, ModelEvaluationError):
-        return np.full(len(p), np.nan)
+    except ModelEvaluationError:    # a differenced column stepped onto a NaN of the model
+        J = np.full((len(r), len(p)), np.nan)
+    if not converged and math.isfinite(cost):
+        # Every trial was rejected, or the cap was reached.  When an
+        # earlier step reached the optimum, rounding rejects or wastes
+        # every later trial: p is converged when a linearized step would
+        # lower the cost by less than REL_RESID_TOL of it.  A NaN
+        # Jacobian promises NaN and leaves p unconverged.
+        promised = np.linalg.qr(J)[0].T @ r
+        converged = float(promised @ promised) <= REL_RESID_TOL * cost
+    return FitResult(params=p, residual_norm=math.sqrt(cost),
+                     jacobian_condition=cond, iterations=iterations,
+                     converged=converged, param_uncertainties=_linearized_uncertainties(J, r))
+
+
+def _linearized_uncertainties(J, r):
+    """One-sigma parameter errors from the linearized covariance at the optimum."""
+    try:
+        dof = max(len(r) - J.shape[1], 1)
+        cov = float(r @ r) / dof * np.linalg.inv(J.T @ J)
+        return np.sqrt(np.maximum(np.diag(cov), 0.0))
+    except np.linalg.LinAlgError:
+        return np.full(J.shape[1], np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +400,12 @@ def _fit_exponentials(t, y, k, offset=False, rates0=None):
     log_rates = np.sort(res.params)[::-1]
     basis, _, _, _, c, fitted = projection.factors(log_rates)
     q = np.concatenate([c, log_rates])
-    r = fitted - y
     # d/d ln r_j of c_j exp(-r_j t) is c_j d_j
     jac = np.column_stack([basis, _rate_derivatives(t, basis, log_rates) * c[:k]])
-    # nlls_minimize applies this test where LM stalls; it is repeated here
-    # for a fit that reached the optimum and ran on to EXP_MAX_ITERATIONS:
-    # the end point is converged when a linearized step would lower the
-    # cost by less than REL_RESID_TOL of it.
-    promised = np.linalg.qr(jac)[0].T @ r
-    converged = res.converged or float(promised @ promised) <= REL_RESID_TOL * float(r @ r)
     return FitResult(params=q, residual_norm=res.residual_norm,
                      jacobian_condition=res.jacobian_condition,
-                     iterations=res.iterations, converged=converged,
-                     param_uncertainties=_linearized_uncertainties(lambda _: jac, q, r))
+                     iterations=res.iterations, converged=res.converged,
+                     param_uncertainties=_linearized_uncertainties(jac, fitted - y))
 
 
 def fit_biexponential(trace, init=None):

@@ -217,7 +217,8 @@ def test_cli_runs_without_scipy(tmp_path):
         "commands = [['simulate-maser', '--t-max-us', '2', '--points', '100'],\n"
         "            ['fit-trepr', out + '/trepr.csv'],\n"
         "            ['fit-tcspc', out + '/tcspc.csv', '--components', '3'],\n"
-        "            ['svd-tas', out + '/tas.csv']]\n"
+        "            ['svd-tas', out + '/tas.csv'],\n"
+        "            ['svd-tas', out + '/tas.csv', '--threshold', '0.001']]\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n"
         "for argv in commands:\n"
