@@ -9,14 +9,13 @@ failure (integration, non-convergence, missing oscillation).
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
-
-import jsonschema
 
 from . import __version__, cavity, cqed, fitting, spectro, synthetic, triplet, units
 from .errors import MaserkitError, NumericalError, UserInputError
@@ -49,14 +48,78 @@ def _load_schema():
 
 _SCHEMA = None
 
+# the JSON Schema types the result schema names, read as jsonschema reads
+# them under draft 2020-12: a bool is not an integer, an integral float is
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+_ANNOTATIONS = {"$schema", "$id", "title"}
+_KEYWORDS = {"type", "required", "properties", "additionalProperties", "items", "minLength"}
+
+
+def _check_keywords(schema, path):
+    unsupported = set(schema) - _ANNOTATIONS - _KEYWORDS
+    types = schema.get("type", [])
+    unsupported |= set([types] if isinstance(types, str) else types) - set(_JSON_TYPES)
+    if schema.get("additionalProperties", False) is not False:
+        unsupported.add("additionalProperties other than false")
+    if unsupported:
+        raise ValueError(f"schema at {path}: unsupported {sorted(unsupported)}")
+    for key, sub in schema.get("properties", {}).items():
+        _check_keywords(sub, f"{path}.{key}")
+    if "items" in schema:
+        _check_keywords(schema["items"], f"{path}[]")
+
+
+def _check_instance(value, schema, path):
+    types = schema.get("type")
+    if types is not None:
+        names = [types] if isinstance(types, str) else types
+        if not any(_JSON_TYPES[name](value) for name in names):
+            raise ValueError(f"{path}: expected {' or '.join(names)}, "
+                             f"got {type(value).__name__}")
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        raise ValueError(f"{path}: shorter than {schema['minLength']} characters")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check_instance(item, schema["items"], f"{path}[{i}]")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            raise ValueError(f"{path}: missing keys {missing}")
+        extra = [key for key in value if key not in properties]
+        if extra and "additionalProperties" in schema:
+            raise ValueError(f"{path}: unexpected keys {extra}")
+        for key, sub in properties.items():
+            if key in value:
+                _check_instance(value[key], sub, f"{path}.{key}")
+
+
+def check_document(document, schema):
+    """Raise ValueError naming the JSON path where document breaks schema.
+
+    Implements the JSON Schema keywords the shipped result schema uses:
+    type, required, properties, additionalProperties (false only), items
+    and minLength; $schema, $id and title are annotations.  Any other
+    keyword raises, so that a schema edit cannot go unchecked.
+    """
+    _check_keywords(schema, "$")
+    _check_instance(document, schema, "$")
+
 
 def write_result_json(path, manifest, results):
-    """Emit {manifest, results}, validated against the shipped schema."""
+    """Emit {manifest, results}, checked against the shipped schema."""
     global _SCHEMA
     if _SCHEMA is None:
         _SCHEMA = _load_schema()
     document = {"manifest": asdict(manifest), "results": results}
-    jsonschema.validate(document, _SCHEMA)
+    check_document(document, _SCHEMA)
     with open(path, "w") as fh:
         json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -234,6 +297,9 @@ def _maser_params_from_args(args):
         unknown = set(file_values) - set(values) - {"t_max_us", "n_points", "photon0"}
         if unknown:
             raise UserInputError(f"{args.params}: unknown keys {sorted(unknown)}")
+        not_finite = sorted(k for k, v in file_values.items() if not units.is_finite_real(v))
+        if not_finite:
+            raise UserInputError(f"{args.params}: {not_finite} must be finite numbers")
         values.update(file_values)
     # (parameter, value flag, flag marking 2 pi x quoting or None)
     for key, flag, angular in (("g_e", "ge_hz", "ge_angular"),
@@ -451,8 +517,19 @@ def _cmd_gen_synthetic(args, manifest):
 # parser construction
 
 
+def _finite_float(text):
+    """argparse type of every float option: nan and +-inf are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_angular_pair(parser, stem, help_base):
-    parser.add_argument(f"--{stem}-hz", type=float, default=None, help=help_base)
+    parser.add_argument(f"--{stem}-hz", type=_finite_float, default=None, help=help_base)
     parser.add_argument(f"--{stem}-angular", action="store_true",
                         help=f"the {stem} value is quoted as 2 pi x that number")
 
@@ -482,65 +559,65 @@ def build_parser():
     p = add("simulate-triplet", "closed-form triplet sublevel trajectory",
             _cmd_simulate_triplet)
     p.add_argument("--params", required=True, help="JSON with rates and populations")
-    p.add_argument("--t-max-us", type=float, default=20.0)
+    p.add_argument("--t-max-us", type=_finite_float, default=20.0)
     p.add_argument("--points", type=int, default=800)
 
     p = add("fit-trepr", "biexponential fit of an EPR difference trace", _cmd_fit_trepr)
     p.add_argument("trace", help="two-column CSV (t_us,value)")
     p.add_argument("--unit", default="dimensionless")
-    p.add_argument("--init", type=float, nargs=4, default=None,
+    p.add_argument("--init", type=_finite_float, nargs=4, default=None,
                    metavar=("A", "B", "ALPHA_MINUS", "ALPHA_PLUS"),
                    help="starting guess; only the rates are used, and of two "
                         "equal rates the slower is halved")
 
     p = add("qcircle", "coupling and Q factors from Q-circle geometry", _cmd_qcircle)
-    p.add_argument("--d", type=float, default=None, help="Q-circle diameter")
-    p.add_argument("--d2", type=float, default=None,
+    p.add_argument("--d", type=_finite_float, default=None, help="Q-circle diameter")
+    p.add_argument("--d2", type=_finite_float, default=None,
                    help="auxiliary circle diameter (lossy case)")
     p.add_argument("--s11", default=None,
                    help="CSV of f_Hz,re_S11,im_S11 to circle-fit for d")
-    p.add_argument("--f0", type=float, default=None, help="mode frequency Hz")
-    p.add_argument("--f-low", type=float, default=None)
-    p.add_argument("--f-high", type=float, default=None)
-    p.add_argument("--k2", type=float, default=0.0, help="second port coupling")
+    p.add_argument("--f0", type=_finite_float, default=None, help="mode frequency Hz")
+    p.add_argument("--f-low", type=_finite_float, default=None)
+    p.add_argument("--f-high", type=_finite_float, default=None)
+    p.add_argument("--k2", type=_finite_float, default=0.0, help="second port coupling")
 
     p = add("thermal-photons", "Bose-Einstein occupancy of a mode", _cmd_thermal_photons)
-    p.add_argument("--f", type=float, required=True, help="frequency Hz")
-    p.add_argument("--temp", type=float, required=True, help="temperature K")
+    p.add_argument("--f", type=_finite_float, required=True, help="frequency Hz")
+    p.add_argument("--temp", type=_finite_float, required=True, help="temperature K")
 
     p = add("convert-power", "emitted power to intracavity photon number",
             _cmd_convert_power)
-    p.add_argument("--dbm", type=float, default=None)
-    p.add_argument("--watts", type=float, default=None)
+    p.add_argument("--dbm", type=_finite_float, default=None)
+    p.add_argument("--watts", type=_finite_float, default=None)
     p.add_argument("--trace", default=None, help="CSV trace to convert")
     p.add_argument("--unit", default="watts", choices=("watts", "dBm"),
                    help="unit of the trace values")
-    p.add_argument("--coupling", type=float, required=True)
-    p.add_argument("--kappa-c", type=float, required=True)
+    p.add_argument("--coupling", type=_finite_float, required=True)
+    p.add_argument("--kappa-c", type=_finite_float, required=True)
     p.add_argument("--kappa-c-angular", action="store_true")
-    p.add_argument("--f", type=float, required=True)
+    p.add_argument("--f", type=_finite_float, required=True)
 
     p = add("simulate-maser", "mean-field maser burst simulation", _cmd_simulate_maser)
     p.add_argument("--params", default=None, help="JSON parameter file")
     _add_angular_pair(p, "ge", "spin-photon coupling")
     _add_angular_pair(p, "kappa-s", "spin dephasing rate")
-    p.add_argument("--kappa-c", type=float, default=None)
+    p.add_argument("--kappa-c", type=_finite_float, default=None)
     p.add_argument("--kappa-c-angular", action="store_true")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--n-spins", type=float, default=None)
-    p.add_argument("--n-bar", type=float, default=None)
-    p.add_argument("--inversion0", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--t-max-us", type=float, default=None)
+    p.add_argument("--gamma", type=_finite_float, default=None)
+    p.add_argument("--n-spins", type=_finite_float, default=None)
+    p.add_argument("--n-bar", type=_finite_float, default=None)
+    p.add_argument("--inversion0", type=_finite_float, default=None)
+    p.add_argument("--delta", type=_finite_float, default=None)
+    p.add_argument("--t-max-us", type=_finite_float, default=None)
     p.add_argument("--points", type=int, default=None)
-    p.add_argument("--rtol", type=float, default=cqed.DEFAULT_RTOL)
-    p.add_argument("--atol", type=float, default=cqed.DEFAULT_ATOL)
+    p.add_argument("--rtol", type=_finite_float, default=cqed.DEFAULT_RTOL)
+    p.add_argument("--atol", type=_finite_float, default=cqed.DEFAULT_ATOL)
 
     p = add("fit-maser", "fit (g_e, kappa_s, N) to a photon burst", _cmd_fit_maser)
     p.add_argument("trace", help="photon-number CSV")
     p.add_argument("--fixed", default=None,
                    help="JSON with kappa_c, gamma, n_bar, inversion0, delta")
-    p.add_argument("--init", type=float, nargs=3, default=None,
+    p.add_argument("--init", type=_finite_float, nargs=3, default=None,
                    metavar=("GE", "KAPPA_S", "N_SPINS"),
                    help="starting point, internal angular units")
     p.add_argument("--loss", default="log10", choices=("log10", "linear"))
@@ -549,7 +626,7 @@ def build_parser():
 
     p = add("cooperativity", "C = 4 g_e^2/(kappa_c kappa_s)", _cmd_cooperativity)
     _add_angular_pair(p, "ge", "spin-photon coupling")
-    p.add_argument("--kappa-c", type=float, required=True)
+    p.add_argument("--kappa-c", type=_finite_float, required=True)
     p.add_argument("--kappa-c-angular", action="store_true")
     _add_angular_pair(p, "kappa-s", "spin dephasing rate")
 
@@ -557,13 +634,13 @@ def build_parser():
             _cmd_rabi)
     _add_angular_pair(p, "ge", "spin-photon coupling")
     p.add_argument("--trace", default=None, help="photon-number CSV")
-    p.add_argument("--window-lo-us", type=float, default=None)
-    p.add_argument("--window-hi-us", type=float, default=None)
+    p.add_argument("--window-lo-us", type=_finite_float, default=None)
+    p.add_argument("--window-hi-us", type=_finite_float, default=None)
 
     p = add("svd-tas", "SVD global analysis of a transient-absorption matrix",
             _cmd_svd_tas)
     p.add_argument("matrix", help="CSV: first row wavelengths, first column delays")
-    p.add_argument("--threshold", type=float, default=spectro.DEFAULT_SIGNIFICANCE)
+    p.add_argument("--threshold", type=_finite_float, default=spectro.DEFAULT_SIGNIFICANCE)
 
     p = add("fit-tcspc", "multi-exponential tail fit of a counting decay", _cmd_fit_tcspc)
     p.add_argument("trace", help="two-column CSV (t_us,value)")
@@ -572,14 +649,14 @@ def build_parser():
 
     p = add("quantum-yield", "triplet yield from fluorescence and ISC lifetimes",
             _cmd_quantum_yield)
-    p.add_argument("--tau-f-ns", type=float, required=True)
-    p.add_argument("--tau-isc-ns", type=float, required=True)
+    p.add_argument("--tau-f-ns", type=_finite_float, required=True)
+    p.add_argument("--tau-isc-ns", type=_finite_float, required=True)
 
     p = add("gen-synthetic", "deterministic synthetic datasets", _cmd_gen_synthetic)
     p.add_argument("--kind", required=True,
                    choices=("biexp-trepr", "maser-burst", "rank2-tas", "tcspc"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=None,
+    p.add_argument("--noise", type=_finite_float, default=None,
                    help="noise level; meaning depends on kind")
     p.add_argument("--params", default=None, help="JSON overriding generator defaults")
     p.add_argument("--prefix", default=None, help="output filename stem")

@@ -53,13 +53,13 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import IntegrationFailureError, InvalidInputError, NoOscillationError
 from .trace import TimeTrace
-from .units import angular_to_ordinary
+from .units import angular_to_ordinary, is_finite_real
 
 # Default tolerances on the N-scaled state.  The absolute floor sits
 # well below the scaled thermal occupancy nbar/N ~ 4e-12 so the
@@ -101,6 +101,11 @@ class MaserSystemParams:
     n_bar: float
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not is_finite_real(value):
+                raise InvalidInputError(
+                    f"{field.name} must be a finite real number, got {value!r}")
         for name in ("g_e", "kappa_c", "kappa_s", "gamma", "n_bar"):
             if getattr(self, name) < 0:
                 raise InvalidInputError(f"{name} must be >= 0")

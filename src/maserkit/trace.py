@@ -14,6 +14,7 @@ one written (on a 600-point burst grid, 178 times move); the values are
 exact.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,9 @@ def read_columns(path):
 
     Non-numeric cells and unreadable text raise InvalidInputError.
     """
-    with open(path) as fh:
+    with open(path) as fh, warnings.catch_warnings():
+        # a header-only file gives an empty array, which callers reject by shape
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             header = fh.readline().strip()
             data = np.loadtxt(fh, delimiter=",", ndmin=2)

@@ -10,6 +10,7 @@ Internal conventions, applied everywhere without exception:
 """
 
 import math
+import numbers
 
 from .errors import InvalidInputError
 
@@ -33,6 +34,16 @@ class PhysConstants:
 
 
 CONSTANTS = PhysConstants()
+
+
+def is_finite_real(value):
+    """True for a real number, not a bool, that is neither nan nor +-inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:    # an int beyond the float range
+        return False
 
 
 def dbm_to_watts(p_dbm):

@@ -1,11 +1,27 @@
 import json
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maserkit import cli
 from maserkit.trace import TimeTrace, write_trace_csv
+
+SCHEMA = cli._load_schema()
+REFERENCE = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)   # what jsonschema.validate runs
+check_document = cli.check_document
+
+
+@pytest.fixture(autouse=True)
+def _documents_pass_jsonschema(monkeypatch):
+    """Every result document written here must pass jsonschema as well."""
+    def both(document, schema):
+        check_document(document, schema)
+        jsonschema.validate(document, schema)
+
+    monkeypatch.setattr(cli, "check_document", both)
 
 
 def run(tmp_path, *argv, out="result.json"):
@@ -207,9 +223,13 @@ def test_output_dir_env_variable(tmp_path, monkeypatch):
     (["simulate-triplet", "--params", "{doc}"],
      '["k_x", "k_z", "w_xz", "n_x0", "n_y0", "n_z0"]'),
     (["simulate-maser", "--params", "{doc}"], '["g_e"]'),
+    (["simulate-maser", "--params", "{doc}"], '{"g_e": "abc"}'),
+    (["simulate-maser", "--params", "{doc}"], '{"g_e": NaN}'),
+    (["simulate-maser", "--params", "{doc}"], '{"inversion0": null, "t_max_us": "5"}'),
     (["qcircle", "--s11", "{doc}"], "f_Hz,re_S11,im_S11\n1,0.5,0.1\n2,oops,0.2\n"),
 ], ids=["fit-maser-fixed", "gen-synthetic-params", "simulate-triplet-params",
-        "simulate-maser-params", "qcircle-s11"])
+        "simulate-maser-params", "simulate-maser-string-value", "simulate-maser-nan-value",
+        "simulate-maser-null-and-string-values", "qcircle-s11"])
 def test_malformed_input_files_fail_cleanly(tmp_path, capsys, argv, document):
     doc = tmp_path / "input"
     doc.write_text(document)
@@ -248,3 +268,128 @@ def test_svd_tas_on_noise_components_fails_cleanly(tmp_path, capsys):
     if code != 0:
         assert (code, err.split(":")[0]) in ((1, "error"), (2, "numerical failure"))
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cooperativity", "--ge-hz", "nan", "--kappa-c", "2.5e6", "--kappa-s-hz", "1e5"],
+    ["thermal-photons", "--f", "1e9", "--temp", "inf"],
+], ids=["cooperativity-nan", "thermal-photons-inf"])
+def test_non_finite_flags_fail_cleanly(tmp_path, capsys, argv):
+    code = cli.main([argv[0], "--output-dir", str(tmp_path), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_header_only_csv_fails_with_one_error_line(tmp_path, capfd):
+    path = tmp_path / "empty.csv"
+    path.write_text("t_us,value\n")
+    with warnings.catch_warnings():
+        # pytest records warnings instead of printing them; as errors they show
+        warnings.simplefilter("error")
+        code = cli.main(["fit-trepr", str(path), "--output-dir", str(tmp_path)])
+    err = capfd.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _manifest(**overrides):
+    manifest = {"subcommand": "fit-trepr", "inputs": ["trace.csv"], "parameter_file": None,
+                "output_dir": ".", "seed": 3, "version": "0.1.0"}
+    return {"manifest": dict(manifest, **overrides), "results": {"A": 1.0}}
+
+
+_TEXT = st.text(max_size=6)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_TEXT, inner, max_size=2),
+    max_leaves=4)
+_MANIFEST_KEYS = ("subcommand", "inputs", "parameter_file", "output_dir", "seed", "version")
+
+
+@st.composite
+def _documents(draw):
+    """A valid result document, then at most one field corrupted."""
+    document = {
+        "manifest": {
+            "subcommand": draw(st.text(min_size=1, max_size=12)),
+            "inputs": draw(st.lists(_TEXT, max_size=3)),
+            "parameter_file": draw(st.none() | _TEXT),
+            "output_dir": draw(_TEXT),
+            "seed": draw(st.none() | st.integers()),
+            "version": draw(st.text(min_size=1, max_size=8)),
+        },
+        "results": draw(st.dictionaries(_TEXT, _VALUES, max_size=3)),
+    }
+    manifest = document["manifest"]
+    where, key = draw(st.sampled_from(
+        [(document, "manifest"), (document, "results")]
+        + [(manifest, key) for key in _MANIFEST_KEYS]))
+    how = draw(st.sampled_from(["keep", "wrong type", "missing key", "extra key",
+                                "empty string", "bool seed", "float seed", "odd input"]))
+    if how == "wrong type":
+        where[key] = draw(_VALUES)
+    elif how == "missing key":
+        del where[key]
+    elif how == "extra key":
+        where[draw(_TEXT)] = draw(_VALUES)
+    elif how == "empty string":
+        where[key] = ""
+    elif how == "bool seed":
+        manifest["seed"] = True
+    elif how == "float seed":
+        manifest["seed"] = draw(st.floats())
+    elif how == "odd input":
+        manifest["inputs"].append(draw(_VALUES))
+    return document
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+def test_checker_agrees_with_jsonschema(document):
+    expected = REFERENCE.is_valid(document)
+    try:
+        check_document(document, SCHEMA)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected
+
+
+@pytest.mark.parametrize("document, path", [
+    (_manifest(), None),
+    (_manifest(seed=2.0), None),
+    (_manifest(seed=True), r"\$\.manifest\.seed: expected integer or null"),
+    (_manifest(seed=1.5), r"\$\.manifest\.seed"),
+    (_manifest(version=""), r"\$\.manifest\.version: shorter"),
+    (_manifest(inputs=["a", 7]), r"\$\.manifest\.inputs\[1\]"),
+    (_manifest(extra=1), r"\$\.manifest: unexpected keys \['extra'\]"),
+    ({"manifest": _manifest()["manifest"]}, r"\$: missing keys \['results'\]"),
+    ({**_manifest(), "results": []}, r"\$\.results: expected object"),
+], ids=["valid", "integral-float-seed", "bool-seed", "fractional-seed", "empty-version",
+        "non-string-input", "extra-key", "missing-results", "results-not-object"])
+def test_checker_names_the_json_path(document, path):
+    """Each verdict matches jsonschema's; a rejection names where it failed."""
+    try:
+        jsonschema.validate(document, SCHEMA)
+    except jsonschema.ValidationError:
+        assert path is not None
+        with pytest.raises(ValueError, match=path):
+            check_document(document, SCHEMA)
+    else:
+        assert path is None
+        check_document(document, SCHEMA)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object", "minProperties": 1},
+    {"type": "object", "properties": {"absent": {"type": "string", "pattern": "^a"}}},
+    {"type": "object", "properties": {"xs": {"type": "array", "items": {"enum": [1]}}}},
+    {"type": "number"},
+    {"type": "object", "additionalProperties": {"type": "string"}},
+], ids=["top-level", "under-an-absent-property", "under-items", "unknown-type",
+        "additionalProperties-schema"])
+def test_checker_refuses_unsupported_schema_keywords(schema):
+    with pytest.raises(ValueError, match="unsupported"):
+        check_document({}, schema)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -7,12 +8,13 @@ import sys
 import time
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 import maserkit
-from maserkit import cqed
+from maserkit import cli, cqed
 from maserkit.cqed import (
     _rhs_coefficients,
     _scaled_rhs,
@@ -219,20 +221,21 @@ def test_cli_runs_without_scipy(tmp_path):
         "            ['fit-tcspc', out + '/tcspc.csv', '--components', '3'],\n"
         "            ['svd-tas', out + '/tas.csv'],\n"
         "            ['svd-tas', out + '/tas.csv', '--threshold', '0.001']]\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "assert not loaded, loaded\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')]\n"
+        "assert not loaded(), loaded()\n"
         "for argv in commands:\n"
         "    assert maserkit.cli.main([*argv, '--output-dir', out]) == 0, argv\n"
-        "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "    assert not loaded, (argv, loaded)\n")
+        "    assert not loaded(), (argv, loaded())\n")
     src = str(Path(maserkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    schema = cli._load_schema()
     for name in ("simulate-maser", "fit-trepr", "fit-tcspc", "svd-tas"):
-        assert (tmp_path / f"{name}.json").exists()
+        jsonschema.validate(json.loads((tmp_path / f"{name}.json").read_text()), schema)
 
 
 @pytest.mark.parametrize("overrides", [{"kappa_s": 1e308}, {"delta": 1e308}],
@@ -487,6 +490,15 @@ def test_params_validation():
     with pytest.raises(InvalidInputError):
         MaserSystemParams(g_e=1.0, kappa_c=1.0, kappa_s=1.0, gamma=1.0,
                           delta=0.0, n_spins=0.5, n_bar=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("g_e", "abc"), ("g_e", math.nan), ("n_spins", math.inf), ("delta", math.nan),
+    ("kappa_s", None), ("gamma", True), ("n_bar", np.array([1.0, 2.0])), ("kappa_c", 10 ** 400),
+], ids=["string", "nan", "inf", "nan-delta", "none", "bool", "array", "int-beyond-float"])
+def test_params_must_be_finite_real_numbers(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        dataclasses.replace(REF_PARAMS, **{field: value})
 
 
 def test_trajectory_carries_unit_and_grid():
