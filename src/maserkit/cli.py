@@ -151,7 +151,11 @@ def _angular_rate(value, is_angular_quoted):
 
 
 def _load_json_file(path):
-    """The JSON object in a parameter file; any other top level is refused."""
+    """The JSON object of numbers in a parameter file.
+
+    Any other top level, and any value that is not a finite number, is
+    refused.
+    """
     try:
         with open(path) as fh:
             document = json.load(fh)
@@ -162,6 +166,9 @@ def _load_json_file(path):
     if not isinstance(document, dict):
         raise UserInputError(
             f"{path}: expected a JSON object, got {type(document).__name__}")
+    not_finite = sorted(k for k, v in document.items() if not units.is_finite_real(v))
+    if not_finite:
+        raise UserInputError(f"{path}: {not_finite} must be finite numbers")
     return document
 
 
@@ -297,9 +304,6 @@ def _maser_params_from_args(args):
         unknown = set(file_values) - set(values) - {"t_max_us", "n_points", "photon0"}
         if unknown:
             raise UserInputError(f"{args.params}: unknown keys {sorted(unknown)}")
-        not_finite = sorted(k for k, v in file_values.items() if not units.is_finite_real(v))
-        if not_finite:
-            raise UserInputError(f"{args.params}: {not_finite} must be finite numbers")
         values.update(file_values)
     # (parameter, value flag, flag marking 2 pi x quoting or None)
     for key, flag, angular in (("g_e", "ge_hz", "ge_angular"),

@@ -226,10 +226,15 @@ def test_output_dir_env_variable(tmp_path, monkeypatch):
     (["simulate-maser", "--params", "{doc}"], '{"g_e": "abc"}'),
     (["simulate-maser", "--params", "{doc}"], '{"g_e": NaN}'),
     (["simulate-maser", "--params", "{doc}"], '{"inversion0": null, "t_max_us": "5"}'),
+    (["simulate-triplet", "--params", "{doc}"],
+     '{"k_x": "3e5", "k_z": 5e4, "w_xz": 9e4, "n_x0": 0.6, "n_y0": 0.21, "n_z0": 0.19}'),
+    (["gen-synthetic", "--kind", "biexp-trepr", "--params", "{doc}"], '{"A": "x"}'),
+    (["fit-maser", "{trace}", "--fixed", "{doc}"], '{"kappa_c": [2.5e6]}'),
     (["qcircle", "--s11", "{doc}"], "f_Hz,re_S11,im_S11\n1,0.5,0.1\n2,oops,0.2\n"),
 ], ids=["fit-maser-fixed", "gen-synthetic-params", "simulate-triplet-params",
         "simulate-maser-params", "simulate-maser-string-value", "simulate-maser-nan-value",
-        "simulate-maser-null-and-string-values", "qcircle-s11"])
+        "simulate-maser-null-and-string-values", "simulate-triplet-string-value",
+        "gen-synthetic-string-value", "fit-maser-list-value", "qcircle-s11"])
 def test_malformed_input_files_fail_cleanly(tmp_path, capsys, argv, document):
     doc = tmp_path / "input"
     doc.write_text(document)
