@@ -3,68 +3,55 @@
 Simulation and fitting of triplet sublevel kinetics, microwave cavity
 characterization, mean-field cavity QED maser bursts, and time-resolved
 optical spectroscopy.
+
+Importing the package loads no submodule and no numpy: each public name
+is imported from its submodule on first access (PEP 562), so a caller
+that needs only the closed-form relations never loads numpy.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .cavity import (
-    CavityCharacterization,
-    QCircleGeometry,
-    baseline_correct,
-    cavity_decay_rate,
-    coupling_from_qcircle,
-    fit_reflection_circle,
-    loaded_q,
-    power_to_photons,
-    power_trace_to_photons,
-    thermal_photons,
-    unloaded_q,
-)
-from .cqed import (
-    MaserState,
-    MaserSystemParams,
-    MaserTrajectory,
-    cooperativity,
-    count_oscillations,
-    extract_rabi_frequency,
-    predicted_rabi,
-    simulate_maser,
-)
-from .fitting import (
-    FitProblem,
-    FitResult,
-    fit_biexponential,
-    fit_maser_parameters,
-    nlls_minimize,
-)
-from .spectro import (
-    GlobalAnalysisResult,
-    PhotophysicsRates,
-    SpectrumMatrix,
-    TcspcFit,
-    fit_tcspc,
-    rates_from_lifetimes,
-    svd_global_analysis,
-)
-from .trace import TimeTrace, read_trace_csv, write_trace_csv
-from .triplet import (
-    BiexpFit,
-    TripletRateModel,
-    combined_rate_from_eigen,
-    difference_coefficients,
-    eigenrates,
-    equivalent_model,
-    evolve_populations,
-    predicted_trepr_signal,
-    zero_crossing_time,
-)
-from .units import (
-    CONSTANTS,
-    PhysConstants,
-    angular_to_ordinary,
-    dbm_to_watts,
-    ordinary_to_angular,
-    watts_to_dbm,
-)
+# public name -> the submodule that defines it; None marks a submodule itself
+_SOURCE = {
+    **dict.fromkeys(("cavity", "cqed", "errors", "fitting", "spectro", "trace", "triplet",
+                     "units"), None),
+    **dict.fromkeys(("QCircleGeometry", "cavity_decay_rate", "cooperativity",
+                     "coupling_from_qcircle", "loaded_q", "PhotophysicsRates",
+                     "predicted_rabi", "rates_from_lifetimes", "thermal_photons",
+                     "unloaded_q"), "relations"),
+    **dict.fromkeys(("CavityCharacterization", "baseline_correct", "fit_reflection_circle",
+                     "power_to_photons", "power_trace_to_photons"), "cavity"),
+    **dict.fromkeys(("MaserState", "MaserSystemParams", "MaserTrajectory",
+                     "count_oscillations", "extract_rabi_frequency", "simulate_maser"),
+                    "cqed"),
+    **dict.fromkeys(("FitProblem", "FitResult", "fit_biexponential", "fit_maser_parameters",
+                     "nlls_minimize"), "fitting"),
+    **dict.fromkeys(("GlobalAnalysisResult", "SpectrumMatrix", "TcspcFit", "fit_tcspc",
+                     "svd_global_analysis"), "spectro"),
+    **dict.fromkeys(("TimeTrace", "read_trace_csv", "write_trace_csv"), "trace"),
+    **dict.fromkeys(("BiexpFit", "TripletRateModel", "combined_rate_from_eigen",
+                     "difference_coefficients", "eigenrates", "equivalent_model",
+                     "evolve_populations", "predicted_trepr_signal", "zero_crossing_time"),
+                    "triplet"),
+    **dict.fromkeys(("CONSTANTS", "PhysConstants", "angular_to_ordinary", "dbm_to_watts",
+                     "ordinary_to_angular", "watts_to_dbm"), "units"),
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    source = _SOURCE[name]
+    value = (import_module(f".{name}", __name__) if source is None
+             else getattr(import_module(f".{source}", __name__), name))
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    hidden = {"import_module", "_SOURCE", "__getattr__", "__dir__"}
+    return sorted(set(globals()) - hidden | set(__all__))

@@ -8,94 +8,32 @@ number
 
     <a+a> = P (1 + K) / (h f kappa_c K).
 
-kappa_c is an angular rate (s^-1) throughout.
+kappa_c is an angular rate (s^-1) throughout.  The scalar relations
+(Q-circle coupling, Q factors, kappa_c, thermal occupancy) are defined
+in relations and re-exported here.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidGeometryError, InvalidInputError
+from .errors import InvalidInputError
+from .relations import (  # noqa: F401  (re-exported)
+    QCircleGeometry,
+    cavity_decay_rate,
+    coupling_from_qcircle,
+    loaded_q,
+    thermal_photons,
+    unloaded_q,
+)
 from .trace import TimeTrace
-from .units import CONSTANTS, TWO_PI
+from .units import CONSTANTS
 
 # Onset of a burst is flagged where the signal first exceeds the
 # baseline mean by this many baseline standard deviations.
 ONSET_SIGMA = 5.0
 MIN_BASELINE_SAMPLES = 10
-
-
-@dataclass(frozen=True)
-class QCircleGeometry:
-    """Q-circle diameters read off a polar reflection plot.
-
-    d is the resonance circle diameter (0..2 in reflection-coefficient
-    units).  d2 is the diameter of the auxiliary circle through the
-    off-resonance point; it is present only when cable/connector loss
-    is being corrected for, and must exceed 1.
-    """
-
-    d: float
-    d2: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.d <= 2.0:
-            raise InvalidGeometryError(f"d must be in [0, 2], got {self.d!r}")
-        if self.d2 is not None:
-            if not 1.0 < self.d2 <= 2.0:
-                raise InvalidGeometryError(
-                    f"d2 must be in (1, 2], got {self.d2!r}")
-            if self.d > self.d2:
-                raise InvalidGeometryError("require d <= d2")
-
-
-def coupling_from_qcircle(geom):
-    """Port coupling coefficient K from circle diameters.
-
-    Lossy case (d2 given): K = d / (d2 - 1).
-    Lossless case:         K = d / (2 - d).
-    """
-    if geom.d2 is not None:
-        return geom.d / (geom.d2 - 1.0)
-    if geom.d == 2.0:
-        raise InvalidGeometryError("d = 2 gives infinite coupling in the lossless formula")
-    return geom.d / (2.0 - geom.d)
-
-
-def loaded_q(f0, f_low, f_high):
-    """Loaded quality factor from the -3 dB (bandwidth) points, f0/(f_high - f_low)."""
-    if not f_low < f0 < f_high:
-        raise InvalidInputError(
-            f"require f_low < f0 < f_high, got ({f_low!r}, {f0!r}, {f_high!r})")
-    return f0 / (f_high - f_low)
-
-
-def unloaded_q(q_loaded, k1, k2=0.0):
-    """Unloaded Q from loaded Q and the two port couplings: Q_u = Q_L (1 + K1 + K2)."""
-    if q_loaded <= 0:
-        raise InvalidInputError(f"q_loaded must be > 0, got {q_loaded!r}")
-    if k1 < 0 or k2 < 0:
-        raise InvalidInputError("couplings must be >= 0")
-    return q_loaded * (1.0 + k1 + k2)
-
-
-def cavity_decay_rate(f_mode, q_loaded):
-    """Angular field-energy decay rate kappa_c = 2 pi f_mode / Q_L in s^-1."""
-    if f_mode <= 0 or q_loaded <= 0:
-        raise InvalidInputError("f_mode and q_loaded must be > 0")
-    return TWO_PI * f_mode / q_loaded
-
-
-def thermal_photons(f, temperature):
-    """Bose-Einstein occupancy (exp(h f / k_B T) - 1)^-1 of a mode at f, T."""
-    if f <= 0:
-        raise InvalidInputError(f"frequency must be > 0, got {f!r}")
-    if temperature <= 0:
-        raise InvalidInputError(f"temperature must be > 0, got {temperature!r}")
-    x = CONSTANTS.h * f / (CONSTANTS.k_B * temperature)
-    return 1.0 / math.expm1(x)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ a JSON result document embedding a RunManifest (validated against the
 shipped schema); trace outputs are plot-ready CSV.  Exit codes: 0 on
 success, 1 on user error (arguments, files, units), 2 on numerical
 failure (integration, non-convergence, missing oscillation).
+
+numpy and the array modules are imported inside the handlers that use
+them, so the calculator commands (thermal-photons, cooperativity,
+quantum-yield, rabi --ge-hz, qcircle --d) and --help start without
+numpy.
 """
 
 import argparse
@@ -15,11 +20,8 @@ import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 
-import numpy as np
-
-from . import __version__, cavity, cqed, fitting, spectro, synthetic, triplet, units
+from . import __version__, relations, units
 from .errors import MaserkitError, NumericalError, UserInputError
-from .trace import read_columns, read_trace_csv, write_columns, write_trace_csv
 
 OUTPUT_DIR_ENV = "MASERKIT_OUTPUT_DIR"
 
@@ -183,12 +185,18 @@ def _require_keys(params, keys, where):
 
 
 def _cmd_simulate_triplet(args, manifest):
+    import numpy as np
+    from . import triplet
+    from .trace import write_columns
+
     params = _load_json_file(args.params)
     _require_keys(params, ("k_x", "k_z", "w_xz", "n_x0", "n_y0", "n_z0"),
                   args.params)
     model = triplet.TripletRateModel(
         n_x0=params["n_x0"], n_y0=params["n_y0"], n_z0=params["n_z0"],
         k_x=params["k_x"], k_z=params["k_z"], w_xz=params["w_xz"])
+    if args.points < 1:
+        raise UserInputError(f"--points must be >= 1, got {args.points}")
     t = np.linspace(0.0, args.t_max_us * 1e-6, args.points)
     n_x, n_z = triplet.evolve_populations(model, t)
     am, ap = triplet.eigenrates(model)
@@ -210,6 +218,9 @@ def _cmd_simulate_triplet(args, manifest):
 
 
 def _cmd_fit_trepr(args, manifest):
+    from . import fitting, triplet
+    from .trace import read_trace_csv
+
     trace = read_trace_csv(args.trace, unit=args.unit)
     init = tuple(args.init) if args.init else None
     fit = fitting.fit_biexponential(trace, init=init)
@@ -231,10 +242,13 @@ def _cmd_fit_trepr(args, manifest):
 def _cmd_qcircle(args, manifest):
     results = {}
     if args.s11:
+        from .cavity import fit_reflection_circle
+        from .trace import read_columns
+
         _, raw = read_columns(args.s11)
         if raw.shape[1] != 3:
             raise UserInputError(f"{args.s11}: expected columns f_Hz,re_S11,im_S11")
-        center, radius, diameter = cavity.fit_reflection_circle(raw[:, 1], raw[:, 2])
+        center, radius, diameter = fit_reflection_circle(raw[:, 1], raw[:, 2])
         d = diameter
         results["circle_center"] = list(center)
         results["circle_radius"] = radius
@@ -243,16 +257,16 @@ def _cmd_qcircle(args, manifest):
         d = args.d
     else:
         raise UserInputError("provide --d or --s11")
-    geom = cavity.QCircleGeometry(d=d, d2=args.d2)
-    k1 = cavity.coupling_from_qcircle(geom)
+    geom = relations.QCircleGeometry(d=d, d2=args.d2)
+    k1 = relations.coupling_from_qcircle(geom)
     results.update({"d": d, "d2": args.d2, "coupling_k1": k1})
     headline = f"K = {k1:.6g}"
     if args.f0 is not None:
         if args.f_low is None or args.f_high is None:
             raise UserInputError("--f0 requires --f-low and --f-high")
-        q_l = cavity.loaded_q(args.f0, args.f_low, args.f_high)
-        q_u = cavity.unloaded_q(q_l, k1, args.k2)
-        kappa_c = cavity.cavity_decay_rate(args.f0, q_l)
+        q_l = relations.loaded_q(args.f0, args.f_low, args.f_high)
+        q_u = relations.unloaded_q(q_l, k1, args.k2)
+        kappa_c = relations.cavity_decay_rate(args.f0, q_l)
         results.update({
             "q_loaded": q_l, "q_unloaded": q_u,
             "kappa_c_per_s": kappa_c, "k2": args.k2,
@@ -262,11 +276,15 @@ def _cmd_qcircle(args, manifest):
 
 
 def _cmd_thermal_photons(args, manifest):
-    n_bar = cavity.thermal_photons(args.f, args.temp)
+    n_bar = relations.thermal_photons(args.f, args.temp)
     return {"f_hz": args.f, "temperature_k": args.temp, "n_bar": n_bar}, f"{n_bar:.6g}"
 
 
 def _cmd_convert_power(args, manifest):
+    import numpy as np
+    from . import cavity
+    from .trace import read_trace_csv, write_trace_csv
+
     kappa_c = _angular_rate(args.kappa_c, args.kappa_c_angular)
     results = {"coupling": args.coupling, "kappa_c_per_s": kappa_c, "f_hz": args.f}
     headline = None
@@ -298,7 +316,9 @@ def _cmd_convert_power(args, manifest):
 
 
 def _maser_params_from_args(args):
-    values = dict(synthetic.BURST_DEFAULTS)
+    from .synthetic import BURST_DEFAULTS
+
+    values = dict(BURST_DEFAULTS)
     if args.params:
         file_values = _load_json_file(args.params)
         unknown = set(file_values) - set(values) - {"t_max_us", "n_points", "photon0"}
@@ -319,6 +339,10 @@ def _maser_params_from_args(args):
 
 
 def _cmd_simulate_maser(args, manifest):
+    import numpy as np
+    from . import cqed
+    from .trace import write_columns
+
     values = _maser_params_from_args(args)
     params = cqed.MaserSystemParams(
         g_e=values["g_e"], kappa_c=values["kappa_c"], kappa_s=values["kappa_s"],
@@ -332,8 +356,10 @@ def _cmd_simulate_maser(args, manifest):
     t_max = t_max_us * 1e-6
     n_points = int(args.points if args.points is not None
                    else values.get("n_points", cqed.DEFAULT_NPOINTS))
+    rtol = cqed.DEFAULT_RTOL if args.rtol is None else args.rtol
+    atol = cqed.DEFAULT_ATOL if args.atol is None else args.atol
     traj = cqed.simulate_maser(params, init, (0.0, t_max),
-                               rtol=args.rtol, atol=args.atol, n_points=n_points)
+                               rtol=rtol, atol=atol, n_points=n_points)
 
     csv_path = os.path.join(args.output_dir, "maser_trajectory.csv")
     write_columns(csv_path, "t_us,photon_number,re_coherence,im_coherence,"
@@ -350,7 +376,7 @@ def _cmd_simulate_maser(args, manifest):
         "peak_photon_number": float(traj.photon_number[i_peak]),
         "peak_time_us": float(traj.t[i_peak] * 1e6),
         "oscillation_count": cqed.count_oscillations(traj.photon_trace()),
-        "predicted_rabi_hz": units.angular_to_ordinary(cqed.predicted_rabi(params.g_e)),
+        "predicted_rabi_hz": units.angular_to_ordinary(relations.predicted_rabi(params.g_e)),
         "parameters": values,
     }
     try:
@@ -361,6 +387,9 @@ def _cmd_simulate_maser(args, manifest):
 
 
 def _cmd_fit_maser(args, manifest):
+    from . import cavity, fitting, synthetic
+    from .trace import read_trace_csv
+
     trace = read_trace_csv(args.trace, unit="photons")
     fixed = {
         "kappa_c": synthetic.BURST_DEFAULTS["kappa_c"],
@@ -381,7 +410,7 @@ def _cmd_fit_maser(args, manifest):
     ]
     result = fitting.fit_maser_parameters(trace, fixed, init, loss_space=args.loss)
     g_e, kappa_s, n_spins = result.params
-    c = cqed.cooperativity(g_e, fixed["kappa_c"], kappa_s)
+    c = relations.cooperativity(g_e, fixed["kappa_c"], kappa_s)
     results = {
         "g_e_per_s": g_e,
         "kappa_s_per_s": kappa_s,
@@ -409,7 +438,7 @@ def _cmd_cooperativity(args, manifest):
     g_e = _angular_rate(args.ge_hz, args.ge_angular)
     kappa_c = _angular_rate(args.kappa_c, args.kappa_c_angular)
     kappa_s = _angular_rate(args.kappa_s_hz, args.kappa_s_angular)
-    c = cqed.cooperativity(g_e, kappa_c, kappa_s)
+    c = relations.cooperativity(g_e, kappa_c, kappa_s)
     results = {
         "g_e_per_s": g_e, "kappa_c_per_s": kappa_c, "kappa_s_per_s": kappa_s,
         "cooperativity": c,
@@ -420,6 +449,9 @@ def _cmd_cooperativity(args, manifest):
 def _cmd_rabi(args, manifest):
     results = {}
     if args.trace:
+        from . import cqed
+        from .trace import read_trace_csv
+
         trace = read_trace_csv(args.trace, unit="photons")
         if (args.window_lo_us is None) != (args.window_hi_us is None):
             raise UserInputError("--window-lo-us and --window-hi-us go together")
@@ -431,7 +463,7 @@ def _cmd_rabi(args, manifest):
         headline = f"{f:.6g}"
     elif args.ge_hz is not None:
         g_e = _angular_rate(args.ge_hz, args.ge_angular)
-        omega = cqed.predicted_rabi(g_e)
+        omega = relations.predicted_rabi(g_e)
         results.update({
             "g_e_per_s": g_e,
             "predicted_rabi_per_s": omega,
@@ -444,8 +476,12 @@ def _cmd_rabi(args, manifest):
 
 
 def _cmd_svd_tas(args, manifest):
+    from . import spectro
+    from .trace import write_columns
+
+    threshold = spectro.DEFAULT_SIGNIFICANCE if args.threshold is None else args.threshold
     matrix = spectro.read_matrix_csv(args.matrix)
-    result = spectro.svd_global_analysis(matrix, args.threshold)
+    result = spectro.svd_global_analysis(matrix, threshold)
     component_files = []
     for i in range(result.significant_count):
         spec_path = os.path.join(args.output_dir, f"component_{i + 1}_spectrum.csv")
@@ -466,6 +502,9 @@ def _cmd_svd_tas(args, manifest):
 
 
 def _cmd_fit_tcspc(args, manifest):
+    from . import spectro
+    from .trace import read_trace_csv
+
     trace = read_trace_csv(args.trace, unit=args.unit)
     fit = spectro.fit_tcspc(trace, args.components)
     results = {
@@ -480,7 +519,7 @@ def _cmd_fit_tcspc(args, manifest):
 
 
 def _cmd_quantum_yield(args, manifest):
-    rates = spectro.rates_from_lifetimes(args.tau_f_ns, args.tau_isc_ns)
+    rates = relations.rates_from_lifetimes(args.tau_f_ns, args.tau_isc_ns)
     results = {
         "kappa_f_per_ns": rates.kappa_f,
         "kappa_isc_per_ns": rates.kappa_isc,
@@ -491,6 +530,9 @@ def _cmd_quantum_yield(args, manifest):
 
 
 def _cmd_gen_synthetic(args, manifest):
+    from . import synthetic
+    from .trace import write_trace_csv
+
     manifest.seed = args.seed
     overrides = _load_json_file(args.params) if args.params else None
     prefix = args.prefix or args.kind.replace("-", "_")
@@ -505,7 +547,7 @@ def _cmd_gen_synthetic(args, manifest):
     elif args.kind == "rank2-tas":
         data, meta = synthetic.rank2_tas(
             overrides, noise_frac=0.01 if noise is None else noise, seed=args.seed)
-        write = spectro.write_matrix_csv
+        from .spectro import write_matrix_csv as write
     else:   # tcspc: argparse choices admit no other kind
         data, meta = synthetic.tcspc_decay(
             overrides, poisson=noise is None or noise > 0, seed=args.seed)
@@ -614,8 +656,8 @@ def build_parser():
     p.add_argument("--delta", type=_finite_float, default=None)
     p.add_argument("--t-max-us", type=_finite_float, default=None)
     p.add_argument("--points", type=int, default=None)
-    p.add_argument("--rtol", type=_finite_float, default=cqed.DEFAULT_RTOL)
-    p.add_argument("--atol", type=_finite_float, default=cqed.DEFAULT_ATOL)
+    p.add_argument("--rtol", type=_finite_float, default=None)
+    p.add_argument("--atol", type=_finite_float, default=None)
 
     p = add("fit-maser", "fit (g_e, kappa_s, N) to a photon burst", _cmd_fit_maser)
     p.add_argument("trace", help="photon-number CSV")
@@ -644,7 +686,7 @@ def build_parser():
     p = add("svd-tas", "SVD global analysis of a transient-absorption matrix",
             _cmd_svd_tas)
     p.add_argument("matrix", help="CSV: first row wavelengths, first column delays")
-    p.add_argument("--threshold", type=_finite_float, default=spectro.DEFAULT_SIGNIFICANCE)
+    p.add_argument("--threshold", type=_finite_float, default=None)
 
     p = add("fit-tcspc", "multi-exponential tail fit of a counting decay", _cmd_fit_tcspc)
     p.add_argument("trace", help="two-column CSV (t_us,value)")

@@ -58,6 +58,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import IntegrationFailureError, InvalidInputError, NoOscillationError
+from .relations import cooperativity, predicted_rabi  # noqa: F401  (re-exported)
 from .trace import TimeTrace
 from .units import angular_to_ordinary, is_finite_real
 
@@ -576,7 +577,7 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     rtol, atol : float
         Tolerances applied to the N-scaled state.
     n_points : int
-        Number of uniform output samples when t_eval is not given.
+        Number of uniform output samples when t_eval is not given, >= 1.
     t_eval : array_like, optional
         Explicit output grid (seconds) overriding n_points.
 
@@ -596,6 +597,8 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         raise InvalidInputError("tolerances must be positive")
     init.validate(scale=max(params.n_bar, 1.0))
     if t_eval is None:
+        if int(n_points) < 1:
+            raise InvalidInputError(f"n_points must be >= 1, got {n_points!r}")
         t_eval = np.linspace(t0, t1, int(n_points))
     else:
         t_eval = np.array(t_eval, dtype=float)
@@ -617,20 +620,6 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         spin_correlation=y[4] * N,
         params=params,
     )
-
-
-def cooperativity(g_e, kappa_c, kappa_s):
-    """Cooperativity C = 4 g_e^2 / (kappa_c kappa_s)."""
-    if kappa_c <= 0 or kappa_s <= 0:
-        raise InvalidInputError("kappa_c and kappa_s must be > 0")
-    return 4.0 * g_e * g_e / (kappa_c * kappa_s)
-
-
-def predicted_rabi(g_e):
-    """Predicted Rabi angular frequency Omega = 2 g_e."""
-    if g_e < 0:
-        raise InvalidInputError(f"g_e must be >= 0, got {g_e!r}")
-    return 2.0 * g_e
 
 
 def _ripple_train_end(seg):

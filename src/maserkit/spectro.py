@@ -7,6 +7,8 @@ Three independent pieces:
 * TCSPC multi-exponential tail fits (after the counts peak; no IRF
   reconvolution, justified for IRF much shorter than the fast lifetime)
 * triplet quantum yield arithmetic from fluorescence and ISC lifetimes
+  (PhotophysicsRates and rates_from_lifetimes, defined in relations and
+  re-exported here)
 
 Both lifetime fits are fitting._fit_exponentials, the package's one
 sum-of-exponentials fitter.
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
+from .relations import PhotophysicsRates, rates_from_lifetimes  # noqa: F401  (re-exported)
 from .trace import CSV_FLOAT_FMT, read_columns, write_columns
 from . import fitting
 
@@ -201,54 +204,3 @@ def read_matrix_csv(path):
     delays = body[:, 0]
     delta_a = body[:, 1:].T
     return SpectrumMatrix(wavelengths, delays, delta_a)
-
-
-# ---------------------------------------------------------------------------
-# quantum yield arithmetic
-
-
-@dataclass(frozen=True)
-class PhotophysicsRates:
-    """Decay-rate bookkeeping of the emitting singlet state.
-
-    kappa_f is the total fluorescence decay rate 1/tau_f, kappa_isc the
-    intersystem crossing rate 1/tau_isc, and their difference is the
-    lumped internal-conversion plus radiative rate.  theta_t is the
-    triplet quantum yield kappa_isc/kappa_f.  All rates in ns^-1.
-    """
-
-    kappa_f: float
-    kappa_isc: float
-    kappa_ic_plus_rad: float
-    theta_t: float
-
-    def __post_init__(self):
-        if self.kappa_isc > self.kappa_f * (1 + 1e-12):
-            raise InvalidInputError("kappa_isc cannot exceed kappa_f")
-        if not 0.0 <= self.theta_t <= 1.0:
-            raise InvalidInputError(f"theta_t must be in [0, 1], got {self.theta_t!r}")
-        if abs(self.theta_t * self.kappa_f - self.kappa_isc) > 1e-9 * self.kappa_f:
-            raise InvalidInputError("theta_t inconsistent with kappa_isc/kappa_f")
-        if abs(self.kappa_ic_plus_rad - (self.kappa_f - self.kappa_isc)) > 1e-9 * self.kappa_f:
-            raise InvalidInputError("kappa_ic_plus_rad inconsistent with kappa_f - kappa_isc")
-
-
-def rates_from_lifetimes(tau_f_ns, tau_isc_ns):
-    """PhotophysicsRates from the fluorescence and ISC lifetimes (ns).
-
-    Requires tau_isc >= tau_f, otherwise the implied triplet yield
-    would exceed one.
-    """
-    if tau_f_ns <= 0 or tau_isc_ns <= 0:
-        raise InvalidInputError("lifetimes must be positive")
-    if tau_isc_ns < tau_f_ns:
-        raise InvalidInputError(
-            f"tau_isc ({tau_isc_ns!r} ns) < tau_f ({tau_f_ns!r} ns) implies a "
-            "triplet yield above 1")
-    kappa_f = 1.0 / tau_f_ns
-    kappa_isc = 1.0 / tau_isc_ns
-    return PhotophysicsRates(
-        kappa_f=kappa_f,
-        kappa_isc=kappa_isc,
-        kappa_ic_plus_rad=kappa_f - kappa_isc,
-        theta_t=kappa_isc / kappa_f)

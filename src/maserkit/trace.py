@@ -25,6 +25,9 @@ VALID_UNITS = ("dBm", "watts", "photons", "volts", "dimensionless")
 
 CSV_HEADER = "t_us,value"
 CSV_FLOAT_FMT = "%.17g"
+# write_columns formats about this many values per write, so that the
+# Python floats and the text of one block stay small at any table size
+WRITE_BLOCK_VALUES = 1024
 
 
 @dataclass(frozen=True)
@@ -82,24 +85,38 @@ class TimeTrace:
 
 
 def write_columns(path, header, columns):
-    """Write equal-length 1-D columns as a CSV table under one header line."""
-    np.savetxt(path, np.column_stack(columns), fmt=CSV_FLOAT_FMT, delimiter=",",
-               header=header, comments="")
+    """Write equal-length 1-D columns as a CSV table under one header line.
+
+    The text is the bytes np.savetxt(fmt=CSV_FLOAT_FMT, delimiter=",",
+    comments="") writes, formatted with one % per block of rows instead
+    of one per row.
+    """
+    table = np.column_stack(columns)
+    row = ",".join([CSV_FLOAT_FMT] * table.shape[1]) + "\n"
+    step = max(1, WRITE_BLOCK_VALUES // table.shape[1])
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), step):
+            block = table[start:start + step]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_columns(path):
     """(header line, 2-D float array) of a CSV table written by write_columns.
 
-    Non-numeric cells and unreadable text raise InvalidInputError.
+    Non-numeric cells, unreadable text and a table without data rows
+    raise InvalidInputError.
     """
     with open(path) as fh, warnings.catch_warnings():
-        # a header-only file gives an empty array, which callers reject by shape
+        # a header-only file is refused below, by its empty array
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             header = fh.readline().strip()
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InvalidInputError(f"{path}: malformed CSV ({exc})") from exc
+    if len(data) == 0:
+        raise InvalidInputError(f"{path}: no data rows")
     return header, data
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maserkit import cli
-from maserkit.trace import TimeTrace, write_trace_csv
+from maserkit import cli, cqed, spectro, synthetic
+from maserkit.spectro import write_matrix_csv
+from maserkit.trace import TimeTrace, read_columns, write_trace_csv
 
 SCHEMA = cli._load_schema()
 REFERENCE = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)   # what jsonschema.validate runs
@@ -287,16 +288,67 @@ def test_non_finite_flags_fail_cleanly(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-def test_header_only_csv_fails_with_one_error_line(tmp_path, capfd):
+@pytest.mark.parametrize("argv, header", [
+    (["fit-trepr"], "t_us,value"),
+    (["svd-tas"], "delay_ps,500,510,520"),
+    (["qcircle", "--s11"], "f_Hz,re_S11,im_S11"),
+], ids=["fit-trepr", "svd-tas", "qcircle-s11"])
+def test_header_only_csv_fails_with_one_error_line(tmp_path, capfd, argv, header):
     path = tmp_path / "empty.csv"
-    path.write_text("t_us,value\n")
+    path.write_text(header + "\n")
     with warnings.catch_warnings():
         # pytest records warnings instead of printing them; as errors they show
         warnings.simplefilter("error")
-        code = cli.main(["fit-trepr", str(path), "--output-dir", str(tmp_path)])
+        code = cli.main([*argv, str(path), "--output-dir", str(tmp_path)])
     err = capfd.readouterr().err
     assert code == 1
+    assert err == f"error: {path}: no data rows\n"
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["simulate-maser", "--points", "0"], None),
+    (["simulate-maser", "--points", "-3"], None),
+    (["simulate-maser"], {"n_points": 0}),
+    (["simulate-triplet", "--points", "-3"],
+     {"k_x": 3e5, "k_z": 5e4, "w_xz": 9e4, "n_x0": 0.6, "n_y0": 0.21, "n_z0": 0.19}),
+], ids=["maser-points-0", "maser-points-negative", "maser-params-n-points-0",
+        "triplet-points-negative"])
+def test_no_output_points_fails_cleanly(tmp_path, capsys, argv, params):
+    if params is not None:
+        (tmp_path / "params.json").write_text(json.dumps(params))
+        argv = [*argv, "--params", str(tmp_path / "params.json")]
+    code = cli.main([*argv, "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_maser_default_tolerances_are_the_library_defaults(tmp_path):
+    code, doc = run(tmp_path, "simulate-maser", "--points", "300", "--t-max-us", "8")
+    assert code == 0
+    p = synthetic.BURST_DEFAULTS
+    params = cqed.MaserSystemParams(
+        g_e=p["g_e"], kappa_c=p["kappa_c"], kappa_s=p["kappa_s"], gamma=p["gamma"],
+        delta=p["delta"], n_spins=p["n_spins"], n_bar=p["n_bar"])
+    init = cqed.MaserState(photon_number=p["n_bar"], coherence=0.0,
+                           inversion=p["inversion0"], spin_correlation=0.0)
+    traj = cqed.simulate_maser(params, init, (0.0, 8e-6), rtol=cqed.DEFAULT_RTOL,
+                               atol=cqed.DEFAULT_ATOL, n_points=300)
+    assert doc["results"]["peak_photon_number"] == float(np.max(traj.photon_number))
+    _, table = read_columns(tmp_path / "maser_trajectory.csv")
+    np.testing.assert_array_equal(table[:, 1], traj.photon_number)
+
+
+def test_svd_tas_default_threshold_is_the_library_default(tmp_path):
+    matrix, _ = synthetic.rank2_tas(noise_frac=0.05, seed=5)
+    write_matrix_csv(tmp_path / "tas.csv", matrix)
+    code, doc = run(tmp_path, "svd-tas", str(tmp_path / "tas.csv"))
+    assert code == 0
+    result = spectro.svd_global_analysis(spectro.read_matrix_csv(tmp_path / "tas.csv"),
+                                         spectro.DEFAULT_SIGNIFICANCE)
+    assert doc["results"]["significant_count"] == result.significant_count
+    assert doc["results"]["singular_values"] == [float(s) for s in result.singular_values]
+    assert doc["results"]["component_lifetimes_ps"] == result.component_lifetimes
 
 
 def _manifest(**overrides):

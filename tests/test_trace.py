@@ -3,7 +3,14 @@ import pytest
 
 from maserkit.errors import InvalidInputError, UnitMismatchError
 from maserkit.spectro import SpectrumMatrix, write_matrix_csv
-from maserkit.trace import TimeTrace, read_trace_csv, write_trace_csv
+from maserkit.trace import (
+    CSV_FLOAT_FMT,
+    WRITE_BLOCK_VALUES,
+    TimeTrace,
+    read_trace_csv,
+    write_columns,
+    write_trace_csv,
+)
 
 
 def make_trace(n=20, unit="photons"):
@@ -115,3 +122,26 @@ def test_matrix_csv_text_is_pinned(tmp_path):
         b"delay_ps,400,410.5,420\n"
         b"-1,1,0.25,0\n"
         b"0.10000000000000001,2,-3.0000000000000001e-05,7\n")
+
+
+_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1]
+
+
+@pytest.mark.parametrize("columns", [
+    [np.linspace(0.0, 15.0, 2048), np.random.default_rng(0).lognormal(20.0, 9.0, 2048)],
+    [np.array(_SPECIALS), np.array(_SPECIALS[::-1])],
+    [np.arange(-3, 4), np.arange(7) * 2**60],
+    [np.array([True, False, True]), np.array([False, False, True])],
+    [np.arange(5), np.array([True, False, True, False, True]), np.full(5, -2.5)],
+    [np.empty(0), np.empty(0)],
+    [np.random.default_rng(1).standard_normal(200) for _ in range(51)],
+    [np.random.default_rng(2).standard_normal(1001) for _ in range(3)],
+    [np.random.default_rng(3).standard_normal(3) for _ in range(WRITE_BLOCK_VALUES + 1)],
+], ids=["floats", "nan-inf-signed-zero", "ints", "bools", "mixed", "no-rows", "matrix",
+        "uneven-blocks", "row-wider-than-a-block"])
+def test_write_columns_matches_savetxt(tmp_path, columns):
+    reference = tmp_path / "savetxt.csv"
+    np.savetxt(reference, np.column_stack(columns), fmt=CSV_FLOAT_FMT, delimiter=",",
+               header="a,b", comments="")
+    write_columns(tmp_path / "table.csv", "a,b", columns)
+    assert (tmp_path / "table.csv").read_bytes() == reference.read_bytes()
