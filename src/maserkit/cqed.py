@@ -579,7 +579,8 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     n_points : int
         Number of uniform output samples when t_eval is not given, >= 1.
     t_eval : array_like, optional
-        Explicit output grid (seconds) overriding n_points.
+        Explicit output grid (seconds) overriding n_points: non-empty,
+        finite, increasing and within t_span.
 
     Returns
     -------
@@ -604,6 +605,8 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         t_eval = np.array(t_eval, dtype=float)
         if t_eval.ndim != 1:
             raise ValueError("`t_eval` must be 1-dimensional.")
+        if len(t_eval) == 0 or not np.all(np.isfinite(t_eval)):
+            raise InvalidInputError("t_eval must be a non-empty grid of finite times")
         if np.any(t_eval < t0) or np.any(t_eval > t1):
             raise ValueError("Values in `t_eval` are not within `t_span`.")
         if np.any(np.diff(t_eval) <= 0):

@@ -7,11 +7,9 @@ parameters or the cost by a tiny relative amount, or brings the cost to
 rounding.  At any other exit (every trial rejected, or the iteration
 cap) it is converged when a linearized step would lower the cost by
 less than REL_RESID_TOL of it: the optimum was reached and rounding
-rejects or wastes every later trial.  A problem may supply its
-Jacobian; otherwise it is numerically differenced (central
-differences, step max(1e-6 |p|, 1e-10)).  Both fits of the package
-supply exact Jacobians: the maser fit that of its solver, the
-exponential fits that of their projected residual.
+rejects or wastes every later trial.  Every problem brings its own
+Jacobian: the maser fit that of its solver, the exponential fits that
+of their projected residual.
 
 Every sum-of-exponentials fit (the biexponential trEPR fit here, the
 TCSPC tail and the SVD time profiles in spectro) goes through one
@@ -31,22 +29,22 @@ first (exponential growth rate of the rise for g_e, through the
 closed-form inverse of the linearized gain eigenvalue; peak height for
 N; post-peak envelope decay for kappa_s), sharpens kappa_s with a small
 deterministic scan, and only then polishes with Levenberg-Marquardt.
-The feature stage and the scan simulate single bursts with
-simulate_maser.  The polish keeps the step record of each solve, and
-its Jacobian d log10 n / d log10 (g_e, kappa_s, N) comes from that
-record by the sensitivity pass of cqed: exact for the discretization
-the residual uses, at a fraction of a solve's cost, and with no solve
-at all when the point was just evaluated.  All stages are plain
-function evaluations; nothing is stochastic.
+Every stage solves its bursts through one model over
+log10 (g_e, kappa_s, N) that keeps the step record of its last solve,
+and the scan's best solve is the polish's first evaluation.  The
+Jacobian d log10 n / d log10 (g_e, kappa_s, N) comes from that record by
+the sensitivity pass of cqed: exact for the discretization the residual
+uses, at a fraction of a solve's cost, and with no solve at all when the
+point was just evaluated.  All stages are plain function evaluations;
+nothing is stochastic.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from . import cqed
 from .errors import InvalidInputError, ModelEvaluationError, NumericalError
 from .trace import TimeTrace
 from .triplet import BiexpFit
@@ -66,19 +64,18 @@ class FitProblem:
     """A least-squares problem: model(params) vs data on the data's grid.
 
     model maps a parameter vector to predicted y values (same length as
-    data.y).  loss_space selects whether residuals are formed on the
-    values directly or on their log10 (for data spanning decades).
-    jacobian, if given, maps params to the (n_data, n_params) matrix of
+    data.y), and jacobian maps it to the (n_data, n_params) matrix of
     d(residual)/d(param) in the loss space: d(model)/d(param) for linear
-    loss, d log10|model| / d(param) for log10 loss.  Without it the
-    residual is differenced numerically.
+    loss, d log10|model| / d(param) for log10 loss.  loss_space selects
+    whether residuals are formed on the values directly or on their
+    log10 (for data spanning decades).
     """
 
     model: Callable
+    jacobian: Callable
     data: TimeTrace
     init: np.ndarray
     loss_space: str = "linear"
-    jacobian: Optional[Callable] = None
 
     def __post_init__(self):
         self.init = np.asarray(self.init, dtype=float)
@@ -121,17 +118,6 @@ def _residual_fn(problem):
     return resid
 
 
-def _numeric_jacobian(resid, p):
-    """Central-difference Jacobian, step max(1e-6 |p_j|, 1e-10)."""
-    columns = []
-    for j in range(len(p)):
-        h = max(1e-6 * abs(p[j]), 1e-10)
-        step = np.zeros(len(p))
-        step[j] = h
-        columns.append((resid(p + step) - resid(p - step)) / (2.0 * h))
-    return np.column_stack(columns)
-
-
 def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
     """Levenberg-Marquardt minimization.
 
@@ -140,20 +126,14 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
     (relative), or brings the cost to rounding.  At any other exit
     (every trial rejected, or max_iterations reached) it is converged
     when a linearized step from the returned point would lower the cost
-    by less than REL_RESID_TOL of it.  That test uses the Jacobian at
-    the returned point, which also gives the uncertainties.
+    by less than REL_RESID_TOL of it.  That test uses the problem's
+    Jacobian at the returned point, which also gives the uncertainties.
 
     max_step optionally caps the infinity norm of each accepted step;
     the maser driver uses this to keep the polish inside its narrow
     valley.  Deterministic: identical inputs give identical iterates.
     """
     resid = _residual_fn(problem)
-
-    def jacobian_at(q):
-        if problem.jacobian is not None:
-            return np.asarray(problem.jacobian(q), dtype=float)
-        return _numeric_jacobian(resid, q)
-
     p = problem.init.copy()
     r = resid(p)
     cost = float(r @ r)
@@ -185,7 +165,7 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
 
     for _ in range(max_iterations):
         iterations += 1
-        J = jacobian_at(p)
+        J = np.asarray(problem.jacobian(p), dtype=float)
         JtJ = J.T @ J
         grad = J.T @ r
         if lam is None:
@@ -220,10 +200,7 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
     if J is not None:    # the condition of the last iteration's Jacobian
         svals = np.linalg.svd(J, compute_uv=False)
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    try:
-        J = jacobian_at(p)
-    except ModelEvaluationError:    # a differenced column stepped onto a NaN of the model
-        J = np.full((len(r), len(p)), np.nan)
+    J = np.asarray(problem.jacobian(p), dtype=float)
     if not converged and math.isfinite(cost):
         # Every trial was rejected, or the cap was reached.  When an
         # earlier step reached the optimum, rounding rejects or wastes
@@ -551,72 +528,58 @@ def _smooth_log10(y, width):
     return _moving_average(np.log10(np.maximum(y, LOG_FLOOR)), width)
 
 
-def _burst_params(g_e, kappa_s, n_spins, fixed):
-    return cqed.MaserSystemParams(
-        g_e=g_e, kappa_c=fixed["kappa_c"], kappa_s=kappa_s,
-        gamma=fixed["gamma"], delta=fixed.get("delta", 0.0),
-        n_spins=n_spins, n_bar=fixed["n_bar"])
-
-
-def _burst_init(fixed):
-    return cqed.MaserState(
-        photon_number=fixed["n_bar"], coherence=0.0,
-        inversion=fixed["inversion0"], spin_correlation=0.0)
-
-
-def _simulate_on_grid(g_e, kappa_s, n_spins, fixed, t_grid):
-    traj = cqed.simulate_maser(_burst_params(g_e, kappa_s, n_spins, fixed),
-                               _burst_init(fixed), (t_grid[0], t_grid[-1]),
-                               t_eval=t_grid)
-    return traj.photon_number
-
-
-def _simulate_or_none(g_e, kappa_s, n_spins, fixed, t_grid):
-    try:
-        return _simulate_on_grid(g_e, kappa_s, n_spins, fixed, t_grid)
-    except NumericalError:
-        return None
-
-
 class _BurstModel:
     """The burst over p = log10 (g_e, kappa_s, n_spins) on the data grid.
 
-    photons(p) solves with cqed._solve_burst; log_jacobian(p) gives
-    d log10 n / dp from that solve's step record by
-    cqed._log_photon_sensitivity.  The model keeps its last solve and its
-    last Jacobian, so a Jacobian at the point just evaluated costs only
-    the sensitivity pass, and one asked for again costs nothing.  A
-    failed simulation gives a photon trace of 1e300, penalized rather
-    than fatal, to push the optimizer away (its log10, 300, keeps the
-    cost finite), and a zero Jacobian.
+    Every solve of the maser fit goes through solve(p): cqed._solve_burst
+    with the held quantities of fixed, or None when the integration
+    fails.  photons(p) is its photon trace and log_jacobian(p) gives
+    d log10 n / dp from its step record by cqed._log_photon_sensitivity.
+    The model keeps its last solve in last and its last Jacobian, so a
+    Jacobian at the point just evaluated costs only the sensitivity pass,
+    and one asked for again costs nothing.  A failed simulation gives a
+    photon trace of 1e300, penalized rather than fatal, to push the
+    optimizer away (its log10, 300, keeps the cost finite), and a zero
+    Jacobian.  cqed is imported here, so the exponential fits never load
+    it.
     """
 
     def __init__(self, fixed, t_grid):
         self.fixed = fixed
         self.t = t_grid
-        self._solved = (None, None)      # (key, cqed._BurstSolve or None)
+        self.last = (None, None)         # (key, cqed._BurstSolve or None)
         self._jacobian = (None, None)    # (key, d log10 n / dp)
 
-    def _solve(self, p):
+    def solve(self, p):
+        from . import cqed
+
         key = p.tobytes()
-        if self._solved[0] != key:
-            g_e, kappa_s, n_spins = 10.0 ** p[0], 10.0 ** p[1], 10.0 ** p[2]
+        if self.last[0] != key:
+            fixed = self.fixed
+            params = cqed.MaserSystemParams(
+                g_e=10.0 ** p[0], kappa_c=fixed["kappa_c"], kappa_s=10.0 ** p[1],
+                gamma=fixed["gamma"], delta=fixed.get("delta", 0.0),
+                n_spins=10.0 ** p[2], n_bar=fixed["n_bar"])
+            init = cqed.MaserState(photon_number=fixed["n_bar"], coherence=0.0,
+                                   inversion=fixed["inversion0"], spin_correlation=0.0)
+            init.validate(scale=max(fixed["n_bar"], 1.0))
             try:
-                solve = cqed._solve_burst(_burst_params(g_e, kappa_s, n_spins, self.fixed),
-                                          _burst_init(self.fixed), self.t)
+                solve = cqed._solve_burst(params, init, self.t)
             except NumericalError:
                 solve = None
-            self._solved = (key, solve)
-        return self._solved[1]
+            self.last = (key, solve)
+        return self.last[1]
 
     def photons(self, p):
-        solve = self._solve(p)
+        solve = self.solve(p)
         return np.full(len(self.t), 1e300) if solve is None else solve.photon_number
 
     def log_jacobian(self, p):
+        from . import cqed
+
         key = p.tobytes()
         if self._jacobian[0] != key:
-            solve = self._solve(p)
+            solve = self.solve(p)
             if solve is None:
                 jac = np.zeros((len(self.t), 3))
             else:
@@ -641,14 +604,15 @@ class _BurstModel:
         return model, jacobian
 
 
-def _feature_initialize(t, y_data, init, fixed, simulate):
+def _feature_initialize(t, y_data, init, fixed, burst):
     """Deterministic starting point from burst features.
 
     Matches, in order: the exponential growth rate of the rise (pins
     g_e through the linearized eigenvalue, with the measurement bias
-    cancelled by applying the same estimator to simulated traces), the
-    peak height (pins the spin count N), and the post-peak envelope
-    decay slope (pins kappa_s through a secant iteration).
+    cancelled by applying the same estimator to the bursts that burst, a
+    _BurstModel, solves), the peak height (pins the spin count N), and
+    the post-peak envelope decay slope (pins kappa_s through a secant
+    iteration).
     """
     g_e, kappa_s, n_spins = init
     n_bar = fixed["n_bar"]
@@ -671,10 +635,10 @@ def _feature_initialize(t, y_data, init, fixed, simulate):
 
     previous = None
     for _ in range(10):
-        try:
-            y_sim = simulate(g_e, kappa_s, n_spins)
-        except NumericalError:
+        solve = burst.solve(np.log10([g_e, kappa_s, n_spins]))
+        if solve is None:
             break
+        y_sim = solve.photon_number
         n_spins *= peak_data / float(np.max(y_sim))
         lam_sim = _measure_growth_rate(t, y_sim, n_bar)
         slope_sim = _measure_envelope_slope(t, y_sim)
@@ -741,38 +705,34 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
     if min(g0, ks0, N0) <= 0:
         raise InvalidInputError("initial (g_e, kappa_s, n_spins) must be positive")
 
-    def simulate(g_e, kappa_s, n_spins):
-        return _simulate_on_grid(g_e, kappa_s, n_spins, fixed, t)
-
     # stage 1: feature-based relocation of the starting point
-    g_e, kappa_s, n_spins = _feature_initialize(
-        t, y_data, (g0, ks0, N0), fixed, simulate)
+    burst = _BurstModel(fixed, t)
+    g_e, kappa_s, n_spins = _feature_initialize(t, y_data, (g0, ks0, N0), fixed, burst)
 
     # stage 2: deterministic micro-scan over kappa_s with the spin
     # count re-pinned by the peak at every step; the envelope secant
-    # can stall a percent away, just outside the polish basin
+    # can stall a percent away, just outside the polish basin.  Its
+    # score is the log10 residual, whatever loss_space, and its best
+    # solve is put back as the model's last, for the polish to start on.
+    p_start = np.log10([g_e, kappa_s, n_spins])
     peak_data = float(np.max(y_data))
-    log_target = np.log10(np.maximum(y_data, LOG_FLOOR))
     pinned = []
     for factor in KS_SCAN_FACTORS:
-        y = _simulate_or_none(g_e, factor * kappa_s, n_spins, fixed, t)
-        if y is not None:
-            pinned.append((factor * kappa_s, n_spins * peak_data / float(np.max(y))))
+        solve = burst.solve(np.log10([g_e, factor * kappa_s, n_spins]))
+        if solve is not None:
+            n_try = n_spins * peak_data / float(np.max(solve.photon_number))
+            pinned.append(np.log10([g_e, factor * kappa_s, n_try]))
+    log_resid = _residual_fn(FitProblem(model=burst.photons, jacobian=burst.log_jacobian,
+                                        data=photon_trace, init=p_start, loss_space="log10"))
     best = None
-    for ks_try, n_try in pinned:
-        y = _simulate_or_none(g_e, ks_try, n_try, fixed, t)
-        if y is None:
-            c_try = np.inf
-        else:
-            r = np.log10(np.maximum(y, LOG_FLOOR)) - log_target
-            c_try = float(r @ r)
-        if best is None or c_try < best[0]:
-            best = (c_try, ks_try, n_try)
+    for p_try in pinned:
+        r = log_resid(p_try)
+        cost = float(r @ r)
+        if best is None or cost < best[0]:
+            best = (cost, p_try, burst.last)
     if best is not None:
-        _, kappa_s, n_spins = best
+        _, p_start, burst.last = best
 
-    p_start = np.log10([g_e, kappa_s, n_spins])
-    burst = _BurstModel(fixed, t)
     if loss_space == "log10":
         jacobian_raw = burst.log_jacobian
     else:

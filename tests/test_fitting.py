@@ -29,8 +29,11 @@ def linear_problem(slope=2.0, intercept=-1.0, init=(0.0, 0.0)):
     def model(p):
         return p[0] + p[1] * t
 
-    return FitProblem(model=model, data=trace, init=np.asarray(init, dtype=float),
-                      loss_space="linear"), (intercept, slope)
+    def jacobian(p):
+        return np.column_stack([np.ones_like(t), t])
+
+    return FitProblem(model=model, jacobian=jacobian, data=trace,
+                      init=np.asarray(init, dtype=float), loss_space="linear"), (intercept, slope)
 
 
 def test_linear_model_converges_immediately():
@@ -53,10 +56,14 @@ def test_fit_is_deterministic():
     def model(p):
         return p[0] * np.exp(-p[1] * t) + p[2]
 
+    def jacobian(p):
+        decay = np.exp(-p[1] * t)
+        return np.column_stack([decay, -p[0] * t * decay, np.ones_like(t)])
+
     init = np.array([0.3, 2e5, 0.0])
-    res1 = nlls_minimize(FitProblem(model=model, data=trace, init=init,
+    res1 = nlls_minimize(FitProblem(model=model, jacobian=jacobian, data=trace, init=init,
                                     loss_space="linear"))
-    res2 = nlls_minimize(FitProblem(model=model, data=trace, init=init,
+    res2 = nlls_minimize(FitProblem(model=model, jacobian=jacobian, data=trace, init=init,
                                     loss_space="linear"))
     assert np.array_equal(res1.params, res2.params)
     assert res1.iterations == res2.iterations
@@ -73,8 +80,12 @@ def test_fit_scale_equivariance():
         def model(p):
             return p[0] * np.exp(-p[1] * t)
 
+        def jacobian(p):
+            decay = np.exp(-p[1] * t)
+            return np.column_stack([decay, -p[0] * t * decay])
+
         return nlls_minimize(FitProblem(
-            model=model, data=trace,
+            model=model, jacobian=jacobian, data=trace,
             init=np.array([0.4 * scale, 1.5e5]), loss_space="linear"))
 
     a = run(1.0)
@@ -93,11 +104,14 @@ def test_iteration_cap_at_the_optimum_is_converged():
     def model(p):
         return p[0] + p[1] * t
 
-    res = nlls_minimize(FitProblem(model=model, data=TimeTrace(t, y, "dimensionless"),
-                                   init=np.zeros(2)), max_iterations=1)
+    def jacobian(p):
+        return np.column_stack([np.ones_like(t), t])
+
+    res = nlls_minimize(FitProblem(model=model, jacobian=jacobian,
+                                   data=TimeTrace(t, y, "dimensionless"), init=np.zeros(2)),
+                        max_iterations=1)
     assert res.iterations == 1
     assert res.converged
-    # the step from zero used a Jacobian differenced with step 1e-10
     np.testing.assert_allclose(res.params, np.polyfit(t, y, 1)[::-1], rtol=1e-6)
 
 
@@ -171,9 +185,14 @@ def test_lm_stalled_at_the_optimum_is_converged():
     def model(p):
         return p[0] * np.exp(-np.exp(p[2]) * t) + p[1] * np.exp(-np.exp(p[3]) * t)
 
+    def jacobian(p):
+        e1, e2 = np.exp(-np.exp(p[2]) * t), np.exp(-np.exp(p[3]) * t)
+        return np.column_stack([e1, e2, -p[0] * np.exp(p[2]) * t * e1,
+                                -p[1] * np.exp(p[3]) * t * e2])
+
     start = fitting._fit_exponentials(t, trace.y, 2).params
     for _ in range(5):
-        res = nlls_minimize(FitProblem(model=model, data=trace, init=start))
+        res = nlls_minimize(FitProblem(model=model, jacobian=jacobian, data=trace, init=start))
         if np.array_equal(res.params, start):    # no trial step was accepted
             break
         start = res.params
@@ -208,17 +227,30 @@ def exponential_case(name):
     return matrix.delays - matrix.delays[0], profile, 1, True
 
 
+def column_loop_jacobian(resid, p):
+    """Reference: central differences one parameter at a time."""
+    J = np.empty((len(resid(p)), len(p)))
+    for j in range(len(p)):
+        h = max(1e-6 * abs(p[j]), 1e-10)
+        pp = p.copy()
+        pm = p.copy()
+        pp[j] += h
+        pm[j] -= h
+        J[:, j] = (resid(pp) - resid(pm)) / (2.0 * h)
+    return J
+
+
 @pytest.mark.parametrize("name", ["tcspc1", "tcspc2", "tcspc3", "biexp", "tas"])
 def test_projection_jacobian_matches_central_differences(name):
     t, y, k, offset = exponential_case(name)
     start = np.log(fitting._spread_rates(fitting._pencil_rates(t, y, k, offset), 2.0))
     optimum = fitting._fit_exponentials(t, y, k, offset).params[-k:]
     projection = fitting._ExpProjection(t, y, offset)
-    resid = fitting._residual_fn(FitProblem(model=projection.fitted, init=start,
-                                            data=TimeTrace(t, y, "dimensionless")))
+    resid = fitting._residual_fn(FitProblem(model=projection.fitted, jacobian=projection.jacobian,
+                                            init=start, data=TimeTrace(t, y, "dimensionless")))
     for log_rates in (start, optimum):
         exact = projection.jacobian(log_rates)
-        numeric = fitting._numeric_jacobian(resid, log_rates)
+        numeric = column_loop_jacobian(resid, log_rates)
         assert exact.shape == (len(t), k)
         # a component faster than a channel (TCSPC k = 3 at its optimum)
         # has a column of zeros, which the floor covers
@@ -379,31 +411,6 @@ def test_zero_coupling_cannot_track_a_burst():
     assert float(np.linalg.norm(log_resid)) >= 10.0 * res.residual_norm
 
 
-def column_loop_jacobian(resid, p):
-    """Reference: central differences one parameter at a time."""
-    J = np.empty((len(resid(p)), len(p)))
-    for j in range(len(p)):
-        h = max(1e-6 * abs(p[j]), 1e-10)
-        pp = p.copy()
-        pm = p.copy()
-        pp[j] += h
-        pm[j] -= h
-        J[:, j] = (resid(pp) - resid(pm)) / (2.0 * h)
-    return J
-
-
-def test_numeric_jacobian_equals_column_loop():
-    t = np.linspace(0.0, 2.0, 40)
-    basis = np.vstack([np.ones_like(t), t, t * t])
-    problem = FitProblem(
-        model=lambda p: p[0] * basis[0] + p[1] * basis[1] + p[2] * basis[2],
-        data=TimeTrace(t, 1.0 - 0.5 * t + 0.25 * t * t, "dimensionless"),
-        init=np.zeros(3), loss_space="linear")
-    resid = fitting._residual_fn(problem)
-    p = np.array([0.7, -3e-12, 2.5])    # one step on the 1e-10 floor
-    assert np.array_equal(fitting._numeric_jacobian(resid, p), column_loop_jacobian(resid, p))
-
-
 def noiseless_burst():
     trace, meta = maser_burst()
     fixed = {k: meta[k] for k in ("kappa_c", "gamma", "n_bar", "inversion0", "delta")}
@@ -422,8 +429,8 @@ def test_failed_solve_gives_penalty_row_and_zero_jacobian(monkeypatch):
     p = np.log10(truth)
     assert np.array_equal(burst.photons(p), np.full(len(trace.t), 1e300))
     assert np.array_equal(burst.log_jacobian(p), np.zeros((len(trace.t), 3)))
-    resid = fitting._residual_fn(FitProblem(model=burst.photons, data=trace, init=p,
-                                            loss_space="log10"))
+    resid = fitting._residual_fn(FitProblem(model=burst.photons, jacobian=burst.log_jacobian,
+                                            data=trace, init=p, loss_space="log10"))
     assert np.array_equal(resid(p), 300.0 - np.log10(trace.y))
 
 
@@ -450,7 +457,6 @@ def test_maser_fit_survives_when_every_simulation_fails(monkeypatch):
     # second solve; the polish sees only penalty rows and stalls, and
     # the smoothed stage's cost stays finite (no overflow warning)
     trace, fixed, truth = noiseless_burst()
-    monkeypatch.setattr(cqed, "simulate_maser", fail_integration)
     monkeypatch.setattr(cqed, "_solve_burst", fail_integration)
     res = fit_maser_parameters(trace, fixed, truth)
     assert not res.converged
@@ -466,7 +472,6 @@ def test_maser_fit_jacobians_reuse_the_evaluated_solve(monkeypatch):
     log_jacobian = fitting._BurstModel.log_jacobian
     photons = fitting._BurstModel.photons
     solve_burst = cqed._solve_burst
-    single = cqed.simulate_maser
 
     def traced_jacobian(self, p):
         counts["jacobians"] += 1
@@ -486,19 +491,54 @@ def test_maser_fit_jacobians_reuse_the_evaluated_solve(monkeypatch):
         counts["solves_inside"] += counts["depth"] > 0
         return solve_burst(*args, **kwargs)
 
-    def traced_single(*args, **kwargs):
-        counts["solves_inside"] += counts["depth"] > 0
-        return single(*args, **kwargs)
-
     monkeypatch.setattr(fitting._BurstModel, "log_jacobian", traced_jacobian)
     monkeypatch.setattr(fitting._BurstModel, "photons", traced_photons)
     monkeypatch.setattr(cqed, "_solve_burst", traced_solve)
-    monkeypatch.setattr(cqed, "simulate_maser", traced_single)
     res = fit_maser_parameters(trace, fixed, truth * np.array([1.3, 0.7, 1.3]))
     assert np.all(np.abs(res.params / truth - 1.0) < 0.02)
     assert counts["jacobians"] >= 2
     assert counts["solves"] >= 2
     assert counts["solves_inside"] == 0
+
+
+def test_maser_fit_solves_every_burst_through_the_burst_model(monkeypatch):
+    trace, fixed, truth = noiseless_burst()
+    monkeypatch.setattr(cqed, "simulate_maser", fail_integration)
+    res = fit_maser_parameters(trace, fixed, truth * np.array([0.7, 1.3, 0.7]))
+    assert res.converged
+    assert np.all(np.abs(res.params / truth - 1.0) < 0.02)
+
+
+def test_polish_starts_on_the_scan_solve(monkeypatch):
+    # the scan puts its best solve back as the model's last, so the first
+    # nlls_minimize evaluates its start and the Jacobian there unsolved
+    trace, fixed, truth = noiseless_burst()
+    solves = [0]
+    marks = []    # solves made by the entry to the first nlls_minimize, then by each Jacobian
+    solve_burst = cqed._solve_burst
+    minimize = fitting.nlls_minimize
+
+    def counted_solve(*args, **kwargs):
+        solves[0] += 1
+        return solve_burst(*args, **kwargs)
+
+    def traced_minimize(problem, **kwargs):
+        if not marks:
+            marks.append(solves[0])
+            jacobian = problem.jacobian
+
+            def marked_jacobian(p):
+                marks.append(solves[0])
+                return jacobian(p)
+
+            problem.jacobian = marked_jacobian
+        return minimize(problem, **kwargs)
+
+    monkeypatch.setattr(cqed, "_solve_burst", counted_solve)
+    monkeypatch.setattr(fitting, "nlls_minimize", traced_minimize)
+    fit_maser_parameters(trace, fixed, truth * np.array([1.3, 0.7, 1.3]))
+    assert marks[0] >= len(fitting.KS_SCAN_FACTORS)    # the scan solved before the polish
+    assert marks[1] == marks[0]
 
 
 def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
@@ -557,3 +597,5 @@ def test_maser_fit_validates_inputs():
         fit_maser_parameters(trace, {"kappa_c": 1.0}, (1e7, 1e6, 1e14))
     with pytest.raises(InvalidInputError):
         fit_maser_parameters(trace, fixed, (-1e7, 1e6, 1e14))
+    with pytest.raises(InvalidInputError):    # the held start state |inversion| > 1
+        fit_maser_parameters(trace, dict(fixed, inversion0=1.5), (1e7, 1e6, 1e14))

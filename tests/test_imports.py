@@ -1,7 +1,8 @@
 """What importing maserkit and starting its CLI loads.
 
 `import maserkit` loads no submodule and no numpy; the CLI loads numpy
-only in the subcommands that compute on arrays.  The subprocess tests
+only in the subcommands that compute on arrays, and the maser model
+(cqed) only in those that simulate or fit a burst.  The subprocess tests
 check sys.modules in a fresh interpreter; the static test reads the
 top-level imports with ast, so no timing is involved.
 """
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import maserkit
+from maserkit import cli
 
 PACKAGE = Path(maserkit.__file__).resolve().parent
 SRC = str(PACKAGE.parent)
@@ -90,6 +92,27 @@ def test_calculator_commands_run_without_numpy(tmp_path):
         "    assert not loaded, (argv, loaded[:3])\n")
     _run_fresh(script, tmp_path)
     assert (tmp_path / "cooperativity.json").is_file()
+
+
+def test_exponential_fit_commands_leave_cqed_unloaded(tmp_path):
+    for kind in ("biexp-trepr", "tcspc", "rank2-tas"):
+        assert cli.main(["gen-synthetic", "--kind", kind, "--seed", "1",
+                         "--output-dir", str(tmp_path)]) == 0
+    commands = [["fit-trepr", str(tmp_path / "biexp_trepr.csv")],
+                ["fit-tcspc", str(tmp_path / "tcspc.csv")],
+                ["svd-tas", str(tmp_path / "rank2_tas.csv")]]
+    script = (
+        "import contextlib, io, sys\n"
+        "from maserkit import cli\n"
+        f"commands = {commands!r}\n"
+        "for argv in commands:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main([*argv, '--output-dir', sys.argv[1]])\n"
+        "    assert code == 0, argv\n"
+        "    assert 'maserkit.cqed' not in sys.modules, argv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('maserkit.')))\n")
+    out = _run_fresh(script, tmp_path / "out")
+    assert "'maserkit.fitting'" in out and "'maserkit.spectro'" in out
 
 
 def test_public_names_resolve_to_the_objects_their_modules_define():
