@@ -26,7 +26,7 @@ _SOURCE = {
     **dict.fromkeys(("MaserState", "MaserSystemParams", "MaserTrajectory",
                      "count_oscillations", "extract_rabi_frequency", "simulate_maser"),
                     "cqed"),
-    **dict.fromkeys(("FitProblem", "FitResult", "fit_biexponential", "fit_maser_parameters",
+    **dict.fromkeys(("FitResult", "fit_biexponential", "fit_maser_parameters",
                      "nlls_minimize"), "fitting"),
     **dict.fromkeys(("GlobalAnalysisResult", "SpectrumMatrix", "TcspcFit", "fit_tcspc",
                      "svd_global_analysis"), "spectro"),

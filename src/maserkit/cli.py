@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
@@ -37,7 +38,15 @@ class RunManifest:
 
 
 class _CliParser(argparse.ArgumentParser):
-    """argparse parser that reports usage problems as exit code 1."""
+    """argparse parser that reports usage problems as exit code 1.
+
+    A negative number is a value, not an option, also in exponent form
+    (-4e5), which argparse's own pattern does not match.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise UserInputError(message)

@@ -604,13 +604,13 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     else:
         t_eval = np.array(t_eval, dtype=float)
         if t_eval.ndim != 1:
-            raise ValueError("`t_eval` must be 1-dimensional.")
+            raise InvalidInputError("t_eval must be one-dimensional")
         if len(t_eval) == 0 or not np.all(np.isfinite(t_eval)):
             raise InvalidInputError("t_eval must be a non-empty grid of finite times")
         if np.any(t_eval < t0) or np.any(t_eval > t1):
-            raise ValueError("Values in `t_eval` are not within `t_span`.")
+            raise InvalidInputError("t_eval must lie within t_span")
         if np.any(np.diff(t_eval) <= 0):
-            raise ValueError("Values in `t_eval` are not properly sorted.")
+            raise InvalidInputError("t_eval must be strictly increasing")
 
     y0, coeffs, N = _scaled_start(params, init)
     record, _ = _integrate_rk45(coeffs, t0, t1, y0, t_eval, float(rtol), float(atol))

@@ -1,15 +1,17 @@
 """Nonlinear least-squares machinery and the fitting drivers.
 
-The core is a conventional Levenberg-Marquardt loop with Marquardt
-damping that grows tenfold on a rejected step and shrinks tenfold on
-acceptance.  A run is converged when an accepted step changes the
-parameters or the cost by a tiny relative amount, or brings the cost to
-rounding.  At any other exit (every trial rejected, or the iteration
-cap) it is converged when a linearized step would lower the cost by
-less than REL_RESID_TOL of it: the optimum was reached and rounding
-rejects or wastes every later trial.  Every problem brings its own
-Jacobian: the maser fit that of its solver, the exponential fits that
-of their projected residual.
+The core, nlls_minimize, is a conventional Levenberg-Marquardt loop
+(More, LNM 630 (1978)) over a model, its Jacobian d model / dp, the data
+and a start.  Each iteration's one trial loop starts undamped
+(Gauss-Newton), then damps with a Marquardt lambda that grows tenfold on
+a rejected trial and shrinks tenfold on acceptance.  A run is converged
+when an accepted step changes the parameters or the cost by a tiny
+relative amount, or brings the cost to rounding.  At any other exit
+(every trial rejected, or the iteration cap) it is converged when a
+linearized step would lower the cost by less than REL_RESID_TOL of it:
+the optimum was reached and rounding rejects or wastes every later
+trial.  Every caller brings its own Jacobian: the maser fit that of its
+solver, the exponential fits that of their projected residual.
 
 Every sum-of-exponentials fit (the biexponential trEPR fit here, the
 TCSPC tail and the SVD time profiles in spectro) goes through one
@@ -31,7 +33,8 @@ N; post-peak envelope decay for kappa_s), sharpens kappa_s with a small
 deterministic scan, and only then polishes with Levenberg-Marquardt.
 Every stage solves its bursts through one model over
 log10 (g_e, kappa_s, N) that keeps the step record of its last solve,
-and the scan's best solve is the polish's first evaluation.  The
+and the scan's best solve is the polish's first evaluation.  The fit
+takes the floored log10 of model and data itself (_log10), and the
 Jacobian d log10 n / d log10 (g_e, kappa_s, N) comes from that record by
 the sensitivity pass of cqed: exact for the discretization the residual
 uses, at a fraction of a solve's cost, and with no solve at all when the
@@ -41,12 +44,10 @@ nothing is stochastic.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError, ModelEvaluationError, NumericalError
-from .trace import TimeTrace
 from .triplet import BiexpFit
 
 MAX_ITERATIONS = 200
@@ -57,32 +58,6 @@ LAMBDA_GROW = 10.0
 LAMBDA_SHRINK = 10.0
 LAMBDA_MAX_GROWTH = 1e12   # damping beyond lambda0 * this counts as a stall
 LOG_FLOOR = 1e-300
-
-
-@dataclass
-class FitProblem:
-    """A least-squares problem: model(params) vs data on the data's grid.
-
-    model maps a parameter vector to predicted y values (same length as
-    data.y), and jacobian maps it to the (n_data, n_params) matrix of
-    d(residual)/d(param) in the loss space: d(model)/d(param) for linear
-    loss, d log10|model| / d(param) for log10 loss.  loss_space selects
-    whether residuals are formed on the values directly or on their
-    log10 (for data spanning decades).
-    """
-
-    model: Callable
-    jacobian: Callable
-    data: TimeTrace
-    init: np.ndarray
-    loss_space: str = "linear"
-
-    def __post_init__(self):
-        self.init = np.asarray(self.init, dtype=float)
-        if self.loss_space not in ("linear", "log10"):
-            raise InvalidInputError(f"loss_space must be linear or log10, got {self.loss_space!r}")
-        if not np.all(np.isfinite(self.data.y)):
-            raise InvalidInputError("data contains non-finite values")
 
 
 @dataclass
@@ -97,44 +72,43 @@ class FitResult:
     param_uncertainties: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
-def _residual_fn(problem):
-    """The residual function of a problem, in its loss space."""
-    y = problem.data.y
-    if problem.loss_space == "log10":
-        target = np.log10(np.maximum(np.abs(y), LOG_FLOOR))
-
-        def from_model(m):
-            return np.log10(np.maximum(np.abs(m), LOG_FLOOR)) - target
-    else:
-        def from_model(m):
-            return m - y
-
+def _residual_fn(model, y):
+    """The residual function p -> model(p) - y; a NaN in the model is an error."""
     def resid(p):
-        m = np.asarray(problem.model(p), dtype=float)
+        m = np.asarray(model(p), dtype=float)
         if np.any(np.isnan(m)):
             raise ModelEvaluationError("model returned NaN")
-        return from_model(m)
+        return m - y
 
     return resid
 
 
-def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
-    """Levenberg-Marquardt minimization.
+def nlls_minimize(model, jacobian, y, init, max_iterations=MAX_ITERATIONS, max_step=None):
+    """Levenberg-Marquardt minimization of |model(p) - y|^2 from p = init.
 
-    A run is converged when an accepted step changes the parameters by
-    less than REL_PARAM_TOL or the cost by less than REL_RESID_TOL
-    (relative), or brings the cost to rounding.  At any other exit
-    (every trial rejected, or max_iterations reached) it is converged
-    when a linearized step from the returned point would lower the cost
-    by less than REL_RESID_TOL of it.  That test uses the problem's
-    Jacobian at the returned point, which also gives the uncertainties.
+    model maps a parameter vector to predicted values (same length as y)
+    and jacobian maps it to the (len(y), len(p)) matrix d model / dp; a
+    fit in a transformed space (the maser fit's log10 photon numbers)
+    passes the transformed model, data and Jacobian.  Each iteration's
+    trials start at damping 0, the Gauss-Newton step, which lands on the
+    minimum of a (nearly) quadratic objective.  A run is converged when
+    an accepted step changes the parameters by less than REL_PARAM_TOL or
+    the cost by less than REL_RESID_TOL (relative), or brings the cost to
+    rounding.  At any other exit (every trial rejected, or max_iterations
+    reached) it is converged when a linearized step from the returned
+    point would lower the cost by less than REL_RESID_TOL of it.  That
+    test uses the Jacobian at the returned point, which also gives the
+    uncertainties.
 
     max_step optionally caps the infinity norm of each accepted step;
     the maser driver uses this to keep the polish inside its narrow
     valley.  Deterministic: identical inputs give identical iterates.
     """
-    resid = _residual_fn(problem)
-    p = problem.init.copy()
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise InvalidInputError("data contains non-finite values")
+    resid = _residual_fn(model, y)
+    p = np.array(init, dtype=float)
     r = resid(p)
     cost = float(r @ r)
     # absolute floor: at this cost the data is reproduced to rounding
@@ -142,7 +116,6 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
     # step still changes the parameters at machine scale)
     cost_floor = 1e-24 * max(cost, 1.0)
     lam = None
-    lam0 = None
     J = None
     cond = np.inf
     iterations = 0
@@ -165,42 +138,34 @@ def nlls_minimize(problem, max_iterations=MAX_ITERATIONS, max_step=None):
 
     for _ in range(max_iterations):
         iterations += 1
-        J = np.asarray(problem.jacobian(p), dtype=float)
+        J = np.asarray(jacobian(p), dtype=float)
         JtJ = J.T @ J
         grad = J.T @ r
         if lam is None:
             lam0 = LAMBDA_INIT_FACTOR * float(np.max(np.diag(JtJ)))
             lam = lam0 if lam0 > 0 else 1e-12
             lam0 = lam
-        accepted = False
-        # undamped Gauss-Newton attempt first: lands exactly on the
-        # minimum of a (nearly) quadratic objective, and costs one
-        # rejected trial otherwise
-        try:
-            gn_step = np.linalg.solve(JtJ, -grad)
-        except np.linalg.LinAlgError:
-            gn_step = None
-        if gn_step is not None and (max_step is None
-                                    or np.max(np.abs(gn_step)) <= max_step):
-            accepted = accept(gn_step)
-        while not accepted and lam <= lam0 * LAMBDA_MAX_GROWTH:
+        damping = 0.0    # the Gauss-Newton trial; lambda moves only after damped ones
+        while True:
             try:
-                step = np.linalg.solve(JtJ + lam * np.eye(len(p)), -grad)
+                step = np.linalg.solve(JtJ + damping * np.eye(len(p)), -grad)
             except np.linalg.LinAlgError:
-                lam *= LAMBDA_GROW
-                continue
-            if max_step is not None and np.max(np.abs(step)) > max_step:
-                lam *= LAMBDA_GROW
-                continue
-            accepted = accept(step)
-            lam = max(lam / LAMBDA_SHRINK, 1e-14) if accepted else lam * LAMBDA_GROW
+                step = None
+            accepted = (step is not None
+                        and (max_step is None or np.max(np.abs(step)) <= max_step)
+                        and accept(step))
+            if damping:
+                lam = max(lam / LAMBDA_SHRINK, 1e-14) if accepted else lam * LAMBDA_GROW
+            if accepted or lam > lam0 * LAMBDA_MAX_GROWTH:
+                break
+            damping = lam
         if not accepted or converged:
             break
 
     if J is not None:    # the condition of the last iteration's Jacobian
         svals = np.linalg.svd(J, compute_uv=False)
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    J = np.asarray(problem.jacobian(p), dtype=float)
+    J = np.asarray(jacobian(p), dtype=float)
     if not converged and math.isfinite(cost):
         # Every trial was rejected, or the cap was reached.  When an
         # earlier step reached the optimum, rounding rejects or wastes
@@ -371,8 +336,7 @@ def _fit_exponentials(t, y, k, offset=False, rates0=None):
     else:
         rates0 = _spread_rates(rates0, 1.0 + math.sqrt(np.finfo(float).eps))
     projection = _ExpProjection(t, y, offset)
-    res = nlls_minimize(FitProblem(model=projection.fitted, jacobian=projection.jacobian,
-                                   data=TimeTrace(t, y), init=np.log(rates0)),
+    res = nlls_minimize(projection.fitted, projection.jacobian, y, np.log(rates0),
                         max_iterations=EXP_MAX_ITERATIONS)
     log_rates = np.sort(res.params)[::-1]
     basis, _, _, _, c, fitted = projection.factors(log_rates)
@@ -524,8 +488,9 @@ def _measure_envelope_slope(t, n):
     return float(coef[0])
 
 
-def _smooth_log10(y, width):
-    return _moving_average(np.log10(np.maximum(y, LOG_FLOOR)), width)
+def _log10(x):
+    """log10 |x| floored at LOG_FLOOR: the maser fit's loss space for model and data."""
+    return np.log10(np.maximum(np.abs(x), LOG_FLOOR))
 
 
 class _BurstModel:
@@ -533,8 +498,9 @@ class _BurstModel:
 
     Every solve of the maser fit goes through solve(p): cqed._solve_burst
     with the held quantities of fixed, or None when the integration
-    fails.  photons(p) is its photon trace and log_jacobian(p) gives
-    d log10 n / dp from its step record by cqed._log_photon_sensitivity.
+    fails.  photons(p) is its photon trace, log_photons(p) the _log10 of
+    that, and log_jacobian(p) gives d log10 n / dp from its step record
+    by cqed._log_photon_sensitivity.
     The model keeps its last solve in last and its last Jacobian, so a
     Jacobian at the point just evaluated costs only the sensitivity pass,
     and one asked for again costs nothing.  A failed simulation gives a
@@ -574,6 +540,9 @@ class _BurstModel:
         solve = self.solve(p)
         return np.full(len(self.t), 1e300) if solve is None else solve.photon_number
 
+    def log_photons(self, p):
+        return _log10(self.photons(p))
+
     def log_jacobian(self, p):
         from . import cqed
 
@@ -589,13 +558,13 @@ class _BurstModel:
         return self._jacobian[1]
 
     def smoothed(self, width):
-        """(model, jacobian) of the log10 photon trace under _smooth_log10.
+        """(model, jacobian) of the moving average of log_photons.
 
         The smoothing is linear in log10 n, so the Jacobian is the moving
         average of the raw columns.
         """
         def model(p):
-            return _smooth_log10(self.photons(p), width)
+            return _moving_average(self.log_photons(p), width)
 
         def jacobian(p):
             return np.column_stack([_moving_average(col, width)
@@ -679,7 +648,8 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
         Starting (g_e, kappa_s, n_spins); signs and rough magnitudes
         only, the driver relocates the start from burst features.
     loss_space : str
-        "log10" (default; the burst spans ~11 decades) or "linear".
+        "log10" (default; the burst spans ~11 decades: residuals are
+        log10 |n| - log10 |y|, floored at LOG_FLOOR) or "linear".
 
     Returns
     -------
@@ -694,6 +664,8 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
     penalty residual instead of aborting the fit.
     """
     photon_trace.require_unit("photons")
+    if loss_space not in ("log10", "linear"):
+        raise InvalidInputError(f"loss_space must be log10 or linear, got {loss_space!r}")
     t = photon_trace.t
     y_data = photon_trace.y
     if len(t) < 32:
@@ -722,11 +694,10 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
         if solve is not None:
             n_try = n_spins * peak_data / float(np.max(solve.photon_number))
             pinned.append(np.log10([g_e, factor * kappa_s, n_try]))
-    log_resid = _residual_fn(FitProblem(model=burst.photons, jacobian=burst.log_jacobian,
-                                        data=photon_trace, init=p_start, loss_space="log10"))
+    log_data = _log10(y_data)
     best = None
     for p_try in pinned:
-        r = log_resid(p_try)
+        r = burst.log_photons(p_try) - log_data
         cost = float(r @ r)
         if best is None or cost < best[0]:
             best = (cost, p_try, burst.last)
@@ -734,29 +705,24 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
         _, p_start, burst.last = best
 
     if loss_space == "log10":
-        jacobian_raw = burst.log_jacobian
+        raw = (burst.log_photons, burst.log_jacobian, log_data)
     else:
-        def jacobian_raw(p):    # dn/dp = n ln 10 d log10 n / dp
+        def jacobian(p):    # dn/dp = n ln 10 d log10 n / dp
             return burst.log_jacobian(p) * (math.log(10.0) * burst.photons(p))[:, None]
 
+        raw = (burst.photons, jacobian, y_data)
+
     # stage 3: capped Levenberg-Marquardt polish on the requested loss
-    problem_raw = FitProblem(model=burst.photons, jacobian=jacobian_raw, data=photon_trace,
-                             init=p_start, loss_space=loss_space)
-    result = nlls_minimize(problem_raw, max_step=POLISH_STEP_CAP)
+    result = nlls_minimize(*raw, p_start, max_step=POLISH_STEP_CAP)
 
     # stage 4 (fallback): if the polish is still far off, smooth the
     # log-envelope to erase ripple phase structure, descend on that,
     # then re-polish; keep whichever end point fits the raw data better
     if result.residual_norm ** 2 > 1e-6 and loss_space == "log10":
         width = _envelope_width(t)
-        smooth_trace = TimeTrace(t, _smooth_log10(y_data, width), "dimensionless")
-        model_smooth, jacobian_smooth = burst.smoothed(width)
-        problem_smooth = FitProblem(model=model_smooth, jacobian=jacobian_smooth,
-                                    data=smooth_trace, init=p_start, loss_space="linear")
-        res_smooth = nlls_minimize(problem_smooth, max_step=SMOOTH_STEP_CAP)
-        problem_raw2 = FitProblem(model=burst.photons, jacobian=jacobian_raw, data=photon_trace,
-                                  init=res_smooth.params, loss_space=loss_space)
-        result2 = nlls_minimize(problem_raw2, max_step=POLISH_STEP_CAP)
+        res_smooth = nlls_minimize(*burst.smoothed(width), _moving_average(log_data, width),
+                                   p_start, max_step=SMOOTH_STEP_CAP)
+        result2 = nlls_minimize(*raw, res_smooth.params, max_step=POLISH_STEP_CAP)
         if result2.residual_norm < result.residual_norm:
             result2.iterations += result.iterations + res_smooth.iterations
             result = result2

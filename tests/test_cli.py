@@ -162,6 +162,24 @@ def test_gen_synthetic_then_fit_trepr(tmp_path):
     assert doc["manifest"]["inputs"] == [data]
 
 
+def test_negative_numbers_in_exponent_form_are_values(tmp_path, capsys):
+    code, _ = run(tmp_path, "simulate-maser", "--delta", "-1e5", out="sim.json")
+    assert code == 0
+    code, gen = run(tmp_path, "gen-synthetic", "--kind", "biexp-trepr",
+                    "--noise", "0.004", "--seed", "4", out="gen.json")
+    data = gen["results"]["files"][0]
+    code, exponent = run(tmp_path, "fit-trepr", data, "--init", "0.5", "-0.3", "-4e5", "-1e5",
+                         out="exponent.json")
+    assert code == 0
+    code, plain = run(tmp_path, "fit-trepr", data,
+                      "--init", "0.5", "-0.3", "-400000", "-100000", out="plain.json")
+    assert code == 0
+    assert exponent["results"] == plain["results"]
+    code, _ = run(tmp_path, "fit-trepr", data, "--init", "0.5", "-0.3", "-4e5", out="short.json")
+    assert code == 1
+    capsys.readouterr()
+
+
 def test_gen_synthetic_is_deterministic(tmp_path):
     for kind in ("biexp-trepr", "maser-burst", "rank2-tas", "tcspc"):
         d1, d2 = tmp_path / kind / "a", tmp_path / kind / "b"

@@ -193,10 +193,9 @@ def test_interior_output_grid_integrates_from_span_start():
     ref, _ = scipy_rk45(REF_PARAMS, REF_INIT, (0.0, 1.2e-5), t_eval)
     assert np.array_equal(traj.t, t_eval)
     assert np.max(np.abs(np.log10(traj.photon_number) - np.log10(ref))) < 1e-7
-    with pytest.raises(ValueError):
-        simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.2e-5), t_eval=[1e-6, 2e-5])
-    # an empty grid, and a NaN that passes the span and order checks
-    for bad in ([], [math.nan, 1e-6]):
+    # outside the span, unsorted, not 1-D, empty, and a NaN that passes
+    # the span and order checks
+    for bad in ([1e-6, 2e-5], [2e-6, 1e-6], [[1e-6, 2e-6]], [], [math.nan, 1e-6]):
         with pytest.raises(InvalidInputError):
             simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.2e-5), t_eval=bad)
 

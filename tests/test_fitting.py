@@ -10,21 +10,15 @@ import pytest
 
 from maserkit import cqed, fitting
 from maserkit.errors import IntegrationFailureError, InvalidInputError, NumericalError
-from maserkit.fitting import (
-    FitProblem,
-    fit_biexponential,
-    fit_maser_parameters,
-    nlls_minimize,
-)
+from maserkit.fitting import fit_biexponential, fit_maser_parameters, nlls_minimize
 from maserkit.cqed import MaserState, MaserSystemParams, simulate_maser
 from maserkit.synthetic import BURST_DEFAULTS, biexp_trepr, maser_burst, rank2_tas, tcspc_decay
 from maserkit.trace import TimeTrace
 
 
-def linear_problem(slope=2.0, intercept=-1.0, init=(0.0, 0.0)):
+def test_linear_model_converges_immediately():
     t = np.linspace(0.0, 1.0, 30)
-    y = intercept + slope * t
-    trace = TimeTrace(t, y, "dimensionless")
+    truth = (-1.0, 2.0)
 
     def model(p):
         return p[0] + p[1] * t
@@ -32,13 +26,7 @@ def linear_problem(slope=2.0, intercept=-1.0, init=(0.0, 0.0)):
     def jacobian(p):
         return np.column_stack([np.ones_like(t), t])
 
-    return FitProblem(model=model, jacobian=jacobian, data=trace,
-                      init=np.asarray(init, dtype=float), loss_space="linear"), (intercept, slope)
-
-
-def test_linear_model_converges_immediately():
-    problem, truth = linear_problem()
-    res = nlls_minimize(problem)
+    res = nlls_minimize(model, jacobian, truth[0] + truth[1] * t, np.zeros(2))
     assert res.converged
     assert res.iterations <= 2
     assert res.params[0] == pytest.approx(truth[0], abs=1e-10)
@@ -51,7 +39,6 @@ def test_linear_model_converges_immediately():
 def test_fit_is_deterministic():
     t = np.linspace(0.0, 1e-5, 200)
     y = 0.5 * np.exp(-3e5 * t) + 0.02
-    trace = TimeTrace(t, y, "dimensionless")
 
     def model(p):
         return p[0] * np.exp(-p[1] * t) + p[2]
@@ -61,10 +48,8 @@ def test_fit_is_deterministic():
         return np.column_stack([decay, -p[0] * t * decay, np.ones_like(t)])
 
     init = np.array([0.3, 2e5, 0.0])
-    res1 = nlls_minimize(FitProblem(model=model, jacobian=jacobian, data=trace, init=init,
-                                    loss_space="linear"))
-    res2 = nlls_minimize(FitProblem(model=model, jacobian=jacobian, data=trace, init=init,
-                                    loss_space="linear"))
+    res1 = nlls_minimize(model, jacobian, y, init)
+    res2 = nlls_minimize(model, jacobian, y, init)
     assert np.array_equal(res1.params, res2.params)
     assert res1.iterations == res2.iterations
 
@@ -75,8 +60,6 @@ def test_fit_scale_equivariance():
     y = 0.7 * np.exp(-2.5e5 * t)
 
     def run(scale):
-        trace = TimeTrace(t, scale * y, "dimensionless")
-
         def model(p):
             return p[0] * np.exp(-p[1] * t)
 
@@ -84,9 +67,7 @@ def test_fit_scale_equivariance():
             decay = np.exp(-p[1] * t)
             return np.column_stack([decay, -p[0] * t * decay])
 
-        return nlls_minimize(FitProblem(
-            model=model, jacobian=jacobian, data=trace,
-            init=np.array([0.4 * scale, 1.5e5]), loss_space="linear"))
+        return nlls_minimize(model, jacobian, scale * y, np.array([0.4 * scale, 1.5e5]))
 
     a = run(1.0)
     b = run(1e6)
@@ -107,9 +88,7 @@ def test_iteration_cap_at_the_optimum_is_converged():
     def jacobian(p):
         return np.column_stack([np.ones_like(t), t])
 
-    res = nlls_minimize(FitProblem(model=model, jacobian=jacobian,
-                                   data=TimeTrace(t, y, "dimensionless"), init=np.zeros(2)),
-                        max_iterations=1)
+    res = nlls_minimize(model, jacobian, y, np.zeros(2), max_iterations=1)
     assert res.iterations == 1
     assert res.converged
     np.testing.assert_allclose(res.params, np.polyfit(t, y, 1)[::-1], rtol=1e-6)
@@ -192,7 +171,7 @@ def test_lm_stalled_at_the_optimum_is_converged():
 
     start = fitting._fit_exponentials(t, trace.y, 2).params
     for _ in range(5):
-        res = nlls_minimize(FitProblem(model=model, jacobian=jacobian, data=trace, init=start))
+        res = nlls_minimize(model, jacobian, trace.y, start)
         if np.array_equal(res.params, start):    # no trial step was accepted
             break
         start = res.params
@@ -246,8 +225,7 @@ def test_projection_jacobian_matches_central_differences(name):
     start = np.log(fitting._spread_rates(fitting._pencil_rates(t, y, k, offset), 2.0))
     optimum = fitting._fit_exponentials(t, y, k, offset).params[-k:]
     projection = fitting._ExpProjection(t, y, offset)
-    resid = fitting._residual_fn(FitProblem(model=projection.fitted, jacobian=projection.jacobian,
-                                            init=start, data=TimeTrace(t, y, "dimensionless")))
+    resid = fitting._residual_fn(projection.fitted, y)
     for log_rates in (start, optimum):
         exact = projection.jacobian(log_rates)
         numeric = column_loop_jacobian(resid, log_rates)
@@ -292,9 +270,9 @@ def test_explicit_start_is_kept_unless_rates_coincide(monkeypatch):
     starts = []
     minimize = fitting.nlls_minimize
 
-    def recorded(problem, **kwargs):
-        starts.append(np.exp(problem.init))
-        return minimize(problem, **kwargs)
+    def recorded(model, jacobian, y, init, **kwargs):
+        starts.append(np.exp(init))
+        return minimize(model, jacobian, y, init, **kwargs)
 
     monkeypatch.setattr(fitting, "nlls_minimize", recorded)
     for rates0, expected in (((2e5, 3e5), (3e5, 2e5)),                # as given
@@ -323,10 +301,8 @@ def test_exponential_fit_builds_one_basis_per_residual(monkeypatch):
                 counts[kind].append(builds[0] - before)
         return wrapper
 
-    def traced_minimize(problem, **kwargs):
-        problem.model = counted(problem.model, "model")
-        problem.jacobian = counted(problem.jacobian, "jacobian")
-        return minimize(problem, **kwargs)
+    def traced_minimize(model, jacobian, y, init, **kwargs):
+        return minimize(counted(model, "model"), counted(jacobian, "jacobian"), y, init, **kwargs)
 
     monkeypatch.setattr(fitting, "_exp_basis", counted_basis)
     monkeypatch.setattr(fitting, "nlls_minimize", traced_minimize)
@@ -365,10 +341,15 @@ def test_growth_rate_inverse_outside_its_range_is_none():
     assert inverse(1e9, kc, ks, gamma, 0.52) is not None
 
 
-def test_maser_fit_recovers_parameters_from_perturbed_start():
+def noiseless_burst():
     trace, meta = maser_burst()
-    truth = np.array([meta["g_e"], meta["kappa_s"], meta["n_spins"]])
     fixed = {k: meta[k] for k in ("kappa_c", "gamma", "n_bar", "inversion0", "delta")}
+    truth = np.array([meta["g_e"], meta["kappa_s"], meta["n_spins"]])
+    return trace, fixed, truth
+
+
+def test_maser_fit_recovers_parameters_from_perturbed_start():
+    trace, fixed, truth = noiseless_burst()
     init = truth * np.array([1.3, 0.7, 1.3])
     res = fit_maser_parameters(trace, fixed, init)
     assert res.converged
@@ -379,13 +360,40 @@ def test_maser_fit_recovers_parameters_from_perturbed_start():
 def test_maser_fit_in_linear_loss_recovers_the_truth():
     # the acceptance-08 start (0.7, 0.7, 0.7) on the loss_space="linear"
     # path, which skips the smoothed stage-4 fallback
-    trace, meta = maser_burst()
-    truth = np.array([meta["g_e"], meta["kappa_s"], meta["n_spins"]])
-    fixed = {k: meta[k] for k in ("kappa_c", "gamma", "n_bar", "inversion0", "delta")}
+    trace, fixed, truth = noiseless_burst()
     res = fit_maser_parameters(trace, fixed, truth * 0.7, loss_space="linear")
     assert res.converged
     rel = np.abs(res.params / truth - 1.0)
     assert np.all(rel < 1e-6), f"relative errors {rel}"
+
+
+def test_maser_fit_reads_a_negative_sample_by_its_magnitude():
+    # Every stage's log10 residual floors |y|, the smoothed stage-4 target
+    # too: a sample of the wrong sign is no -300 spike there.  The start
+    # (0.7, 0.7, 0.7) runs stage 4 and reaches the truth as on the clean
+    # burst.
+    trace, fixed, truth = noiseless_burst()
+    y = trace.y.copy()
+    y[3] = -y[3]
+    res = fit_maser_parameters(TimeTrace(trace.t, y, "photons"), fixed, truth * 0.7)
+    assert res.converged
+    rel = np.abs(res.params / truth - 1.0)
+    assert np.all(rel < 1e-9), f"relative errors {rel}"
+
+
+def test_unknown_loss_space_is_refused_before_any_solve(monkeypatch):
+    trace, fixed, truth = noiseless_burst()
+    solves = [0]
+    solve_burst = cqed._solve_burst
+
+    def counted_solve(*args, **kwargs):
+        solves[0] += 1
+        return solve_burst(*args, **kwargs)
+
+    monkeypatch.setattr(cqed, "_solve_burst", counted_solve)
+    with pytest.raises(InvalidInputError, match="loss_space"):
+        fit_maser_parameters(trace, fixed, truth, loss_space="log")
+    assert solves[0] == 0
 
 
 def test_zero_coupling_cannot_track_a_burst():
@@ -411,13 +419,6 @@ def test_zero_coupling_cannot_track_a_burst():
     assert float(np.linalg.norm(log_resid)) >= 10.0 * res.residual_norm
 
 
-def noiseless_burst():
-    trace, meta = maser_burst()
-    fixed = {k: meta[k] for k in ("kappa_c", "gamma", "n_bar", "inversion0", "delta")}
-    truth = np.array([meta["g_e"], meta["kappa_s"], meta["n_spins"]])
-    return trace, fixed, truth
-
-
 def fail_integration(*args, **kwargs):
     raise IntegrationFailureError("forced", last_time=0.0)
 
@@ -429,9 +430,8 @@ def test_failed_solve_gives_penalty_row_and_zero_jacobian(monkeypatch):
     p = np.log10(truth)
     assert np.array_equal(burst.photons(p), np.full(len(trace.t), 1e300))
     assert np.array_equal(burst.log_jacobian(p), np.zeros((len(trace.t), 3)))
-    resid = fitting._residual_fn(FitProblem(model=burst.photons, jacobian=burst.log_jacobian,
-                                            data=trace, init=p, loss_space="log10"))
-    assert np.array_equal(resid(p), 300.0 - np.log10(trace.y))
+    assert np.array_equal(burst.log_photons(p) - fitting._log10(trace.y),
+                          300.0 - np.log10(trace.y))
 
 
 def test_smoothed_jacobian_is_the_moving_average_of_the_raw_columns():
@@ -522,17 +522,17 @@ def test_polish_starts_on_the_scan_solve(monkeypatch):
         solves[0] += 1
         return solve_burst(*args, **kwargs)
 
-    def traced_minimize(problem, **kwargs):
+    def marked(jacobian):
+        def wrapper(p):
+            marks.append(solves[0])
+            return jacobian(p)
+        return wrapper
+
+    def traced_minimize(model, jacobian, y, init, **kwargs):
         if not marks:
             marks.append(solves[0])
-            jacobian = problem.jacobian
-
-            def marked_jacobian(p):
-                marks.append(solves[0])
-                return jacobian(p)
-
-            problem.jacobian = marked_jacobian
-        return minimize(problem, **kwargs)
+            jacobian = marked(jacobian)
+        return minimize(model, jacobian, y, init, **kwargs)
 
     monkeypatch.setattr(cqed, "_solve_burst", counted_solve)
     monkeypatch.setattr(fitting, "nlls_minimize", traced_minimize)
@@ -578,8 +578,8 @@ def test_smoothing_helper_is_bit_identical_for_both_callers(t_max):
     raw = max(3, int(round(fitting.ENVELOPE_SMOOTH_SPAN / (t[1] - t[0]))))
     w = raw if raw % 2 == 1 else raw + 1
 
-    expected = reflect_moving_average(np.log10(np.maximum(y, 1e-300)), w)
-    assert np.array_equal(fitting._smooth_log10(y, raw), expected)
+    expected = reflect_moving_average(np.log10(np.maximum(np.abs(y), 1e-300)), w)
+    assert np.array_equal(fitting._moving_average(fitting._log10(y), raw), expected)
 
     ln = np.log(np.maximum(y, 1e-300))
     smooth = reflect_moving_average(ln, w)
@@ -591,8 +591,7 @@ def test_smoothing_helper_is_bit_identical_for_both_callers(t_max):
 
 
 def test_maser_fit_validates_inputs():
-    trace, meta = maser_burst()
-    fixed = {k: meta[k] for k in ("kappa_c", "gamma", "n_bar", "inversion0", "delta")}
+    trace, fixed, _ = noiseless_burst()
     with pytest.raises(InvalidInputError):
         fit_maser_parameters(trace, {"kappa_c": 1.0}, (1e7, 1e6, 1e14))
     with pytest.raises(InvalidInputError):

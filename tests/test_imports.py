@@ -32,8 +32,7 @@ PUBLIC = {
     "cqed": ["MaserState", "MaserSystemParams", "MaserTrajectory", "cooperativity",
              "count_oscillations", "extract_rabi_frequency", "predicted_rabi",
              "simulate_maser"],
-    "fitting": ["FitProblem", "FitResult", "fit_biexponential", "fit_maser_parameters",
-                "nlls_minimize"],
+    "fitting": ["FitResult", "fit_biexponential", "fit_maser_parameters", "nlls_minimize"],
     "spectro": ["GlobalAnalysisResult", "PhotophysicsRates", "SpectrumMatrix", "TcspcFit",
                 "fit_tcspc", "rates_from_lifetimes", "svd_global_analysis"],
     "trace": ["TimeTrace", "read_trace_csv", "write_trace_csv"],
