@@ -25,6 +25,8 @@ from . import __version__, relations, units
 from .errors import MaserkitError, NumericalError, UserInputError
 
 OUTPUT_DIR_ENV = "MASERKIT_OUTPUT_DIR"
+# the quantities fit-maser holds, from synthetic.BURST_DEFAULTS unless --fixed sets them
+HELD_BURST_KEYS = ("kappa_c", "gamma", "n_bar", "inversion0", "delta")
 
 
 @dataclass
@@ -161,11 +163,11 @@ def _angular_rate(value, is_angular_quoted):
     return units.ordinary_to_angular(value) if is_angular_quoted else value
 
 
-def _load_json_file(path):
+def _load_json_file(path, allowed=None):
     """The JSON object of numbers in a parameter file.
 
-    Any other top level, and any value that is not a finite number, is
-    refused.
+    Any other top level, any value that is not a finite number, and any
+    key outside allowed (when given) is refused.
     """
     try:
         with open(path) as fh:
@@ -180,6 +182,9 @@ def _load_json_file(path):
     not_finite = sorted(k for k, v in document.items() if not units.is_finite_real(v))
     if not_finite:
         raise UserInputError(f"{path}: {not_finite} must be finite numbers")
+    unknown = sorted(set(document) - set(allowed)) if allowed is not None else []
+    if unknown:
+        raise UserInputError(f"{path}: unknown keys {unknown}")
     return document
 
 
@@ -329,11 +334,7 @@ def _maser_params_from_args(args):
 
     values = dict(BURST_DEFAULTS)
     if args.params:
-        file_values = _load_json_file(args.params)
-        unknown = set(file_values) - set(values) - {"t_max_us", "n_points", "photon0"}
-        if unknown:
-            raise UserInputError(f"{args.params}: unknown keys {sorted(unknown)}")
-        values.update(file_values)
+        values.update(_load_json_file(args.params, {*values, "t_max_us", "n_points", "photon0"}))
     # (parameter, value flag, flag marking 2 pi x quoting or None)
     for key, flag, angular in (("g_e", "ge_hz", "ge_angular"),
                                ("kappa_s", "kappa_s_hz", "kappa_s_angular"),
@@ -400,15 +401,9 @@ def _cmd_fit_maser(args, manifest):
     from .trace import read_trace_csv
 
     trace = read_trace_csv(args.trace, unit="photons")
-    fixed = {
-        "kappa_c": synthetic.BURST_DEFAULTS["kappa_c"],
-        "gamma": synthetic.BURST_DEFAULTS["gamma"],
-        "n_bar": synthetic.BURST_DEFAULTS["n_bar"],
-        "inversion0": synthetic.BURST_DEFAULTS["inversion0"],
-        "delta": 0.0,
-    }
+    fixed = {k: synthetic.BURST_DEFAULTS[k] for k in HELD_BURST_KEYS}
     if args.fixed:
-        fixed.update(_load_json_file(args.fixed))
+        fixed.update(_load_json_file(args.fixed, HELD_BURST_KEYS))
     if args.baseline_correct:
         corrected = cavity.baseline_correct(trace, fixed["n_bar"])
         trace = corrected.trace
@@ -417,7 +412,7 @@ def _cmd_fit_maser(args, manifest):
         synthetic.BURST_DEFAULTS["kappa_s"],
         synthetic.BURST_DEFAULTS["n_spins"],
     ]
-    result = fitting.fit_maser_parameters(trace, fixed, init, loss_space=args.loss)
+    result = fitting.fit_maser_parameters(trace, fixed, init)
     g_e, kappa_s, n_spins = result.params
     c = relations.cooperativity(g_e, fixed["kappa_c"], kappa_s)
     results = {
@@ -434,7 +429,7 @@ def _cmd_fit_maser(args, manifest):
         "iterations": result.iterations,
         "converged": result.converged,
         "cooperativity": c,
-        "loss_space": args.loss,
+        "fixed": fixed,
     }
     head = (f"g_e = {g_e:.6g} 1/s  kappa_s = {kappa_s:.6g} 1/s  "
             f"N = {n_spins:.6g}  C = {c:.6g}")
@@ -671,11 +666,10 @@ def build_parser():
     p = add("fit-maser", "fit (g_e, kappa_s, N) to a photon burst", _cmd_fit_maser)
     p.add_argument("trace", help="photon-number CSV")
     p.add_argument("--fixed", default=None,
-                   help="JSON with kappa_c, gamma, n_bar, inversion0, delta")
+                   help=f"JSON with any of {', '.join(HELD_BURST_KEYS)}")
     p.add_argument("--init", type=_finite_float, nargs=3, default=None,
                    metavar=("GE", "KAPPA_S", "N_SPINS"),
                    help="starting point, internal angular units")
-    p.add_argument("--loss", default="log10", choices=("log10", "linear"))
     p.add_argument("--baseline-correct", action="store_true",
                    help="shift the pre-burst level to n_bar before fitting")
 

@@ -473,8 +473,8 @@ def _envelope_width(t):
 
 
 def _measure_envelope_slope(t, n):
-    """Decay slope of the smoothed log photon number after the peak."""
-    ln = np.log(np.maximum(n, LOG_FLOOR))
+    """Decay slope of the smoothed ln |n| after the peak."""
+    ln = np.log(np.maximum(np.abs(n), LOG_FLOOR))
     i_peak = int(np.argmax(ln))
     smooth = _moving_average(ln, _envelope_width(t))
     t_lo = t[i_peak] + ENVELOPE_FIT_START
@@ -498,14 +498,14 @@ class _BurstModel:
 
     Every solve of the maser fit goes through solve(p): cqed._solve_burst
     with the held quantities of fixed, or None when the integration
-    fails.  photons(p) is its photon trace, log_photons(p) the _log10 of
-    that, and log_jacobian(p) gives d log10 n / dp from its step record
-    by cqed._log_photon_sensitivity.
+    fails.  log_photons(p) is the _log10 of its photon trace, the fit's
+    one model, and log_jacobian(p) gives d log10 n / dp from its step
+    record by cqed._log_photon_sensitivity.
     The model keeps its last solve in last and its last Jacobian, so a
     Jacobian at the point just evaluated costs only the sensitivity pass,
     and one asked for again costs nothing.  A failed simulation gives a
-    photon trace of 1e300, penalized rather than fatal, to push the
-    optimizer away (its log10, 300, keeps the cost finite), and a zero
+    log10 photon trace of 300 (n = 1e300), penalized rather than fatal,
+    to push the optimizer away while the cost stays finite, and a zero
     Jacobian.  cqed is imported here, so the exponential fits never load
     it.
     """
@@ -536,12 +536,9 @@ class _BurstModel:
             self.last = (key, solve)
         return self.last[1]
 
-    def photons(self, p):
-        solve = self.solve(p)
-        return np.full(len(self.t), 1e300) if solve is None else solve.photon_number
-
     def log_photons(self, p):
-        return _log10(self.photons(p))
+        solve = self.solve(p)
+        return np.full(len(self.t), 300.0) if solve is None else _log10(solve.photon_number)
 
     def log_jacobian(self, p):
         from . import cqed
@@ -635,7 +632,7 @@ def _feature_initialize(t, y_data, init, fixed, burst):
     return g_e, kappa_s, n_spins
 
 
-def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
+def fit_maser_parameters(photon_trace, fixed, init):
     """Fit (g_e, kappa_s, n_spins) of the mean-field model to a burst.
 
     Parameters
@@ -647,9 +644,6 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
     init : sequence
         Starting (g_e, kappa_s, n_spins); signs and rough magnitudes
         only, the driver relocates the start from burst features.
-    loss_space : str
-        "log10" (default; the burst spans ~11 decades: residuals are
-        log10 |n| - log10 |y|, floored at LOG_FLOOR) or "linear".
 
     Returns
     -------
@@ -660,12 +654,13 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
 
     Notes
     -----
-    Integration failures during trial evaluations yield a large
-    penalty residual instead of aborting the fit.
+    The residuals are log10 |n| - log10 |y|, floored at LOG_FLOOR: the
+    matched loss for multiplicative noise (synthetic.maser_burst scales y
+    by 10^(sigma N(0, 1))), which gives every sample of the ~11-decade
+    burst the same log10 error, so the rise weighs as much as the peak.
+    A failed solve gives a large penalty residual instead of aborting.
     """
     photon_trace.require_unit("photons")
-    if loss_space not in ("log10", "linear"):
-        raise InvalidInputError(f"loss_space must be log10 or linear, got {loss_space!r}")
     t = photon_trace.t
     y_data = photon_trace.y
     if len(t) < 32:
@@ -684,8 +679,8 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
     # stage 2: deterministic micro-scan over kappa_s with the spin
     # count re-pinned by the peak at every step; the envelope secant
     # can stall a percent away, just outside the polish basin.  Its
-    # score is the log10 residual, whatever loss_space, and its best
-    # solve is put back as the model's last, for the polish to start on.
+    # score is the log10 residual, and its best solve is put back as the
+    # model's last, for the polish to start on.
     p_start = np.log10([g_e, kappa_s, n_spins])
     peak_data = float(np.max(y_data))
     pinned = []
@@ -704,21 +699,14 @@ def fit_maser_parameters(photon_trace, fixed, init, loss_space="log10"):
     if best is not None:
         _, p_start, burst.last = best
 
-    if loss_space == "log10":
-        raw = (burst.log_photons, burst.log_jacobian, log_data)
-    else:
-        def jacobian(p):    # dn/dp = n ln 10 d log10 n / dp
-            return burst.log_jacobian(p) * (math.log(10.0) * burst.photons(p))[:, None]
-
-        raw = (burst.photons, jacobian, y_data)
-
-    # stage 3: capped Levenberg-Marquardt polish on the requested loss
+    # stage 3: capped Levenberg-Marquardt polish
+    raw = (burst.log_photons, burst.log_jacobian, log_data)
     result = nlls_minimize(*raw, p_start, max_step=POLISH_STEP_CAP)
 
     # stage 4 (fallback): if the polish is still far off, smooth the
     # log-envelope to erase ripple phase structure, descend on that,
     # then re-polish; keep whichever end point fits the raw data better
-    if result.residual_norm ** 2 > 1e-6 and loss_space == "log10":
+    if result.residual_norm ** 2 > 1e-6:
         width = _envelope_width(t)
         res_smooth = nlls_minimize(*burst.smoothed(width), _moving_average(log_data, width),
                                    p_start, max_step=SMOOTH_STEP_CAP)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maserkit import cli, cqed, spectro, synthetic
+from maserkit import cli, cqed, fitting, spectro, synthetic
 from maserkit.spectro import write_matrix_csv
 from maserkit.trace import TimeTrace, read_columns, write_trace_csv
 
@@ -265,6 +265,55 @@ def test_malformed_input_files_fail_cleanly(tmp_path, capsys, argv, document):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--fixed", "{fixed}"], "['g_e', 'kappa_C']"),
+    (["--loss", "linear"], "--loss"),
+], ids=["unknown-fixed-key", "loss-flag"])
+def test_fit_maser_input_is_refused_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                      argv, named):
+    # a misspelt held quantity would otherwise be fitted with the default
+    trace = tmp_path / "burst.csv"
+    write_trace_csv(trace, synthetic.maser_burst()[0])
+    fixed = tmp_path / "fixed.json"
+    fixed.write_text('{"kappa_C": 9e9, "g_e": 1}')
+    solves = [0]
+    solve_burst = cqed._solve_burst
+
+    def counted_solve(*args, **kwargs):
+        solves[0] += 1
+        return solve_burst(*args, **kwargs)
+
+    monkeypatch.setattr(cqed, "_solve_burst", counted_solve)
+    code = cli.main(["fit-maser", str(trace), "--output-dir", str(tmp_path),
+                     *(a.format(fixed=fixed) for a in argv)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert solves[0] == 0
+
+
+def test_fit_maser_records_the_held_values(tmp_path, monkeypatch):
+    trace = tmp_path / "burst.csv"
+    write_trace_csv(trace, TimeTrace(np.linspace(0.0, 1e-5, 40), np.ones(40), "photons"))
+    fixed = tmp_path / "fixed.json"
+    fixed.write_text('{"kappa_c": 2.6e6}')
+    passed = []
+
+    def fake_fit(trace, fixed, init):
+        passed.append(dict(fixed))
+        return fitting.FitResult(params=np.array([1e7, 1e6, 1e14]), residual_norm=0.0,
+                                 jacobian_condition=1.0, iterations=0, converged=True,
+                                 param_uncertainties=np.zeros(3))
+
+    monkeypatch.setattr(fitting, "fit_maser_parameters", fake_fit)
+    code, doc = run(tmp_path, "fit-maser", str(trace), "--fixed", str(fixed))
+    assert code == 0
+    held = {k: synthetic.BURST_DEFAULTS[k] for k in cli.HELD_BURST_KEYS}
+    assert passed == [dict(held, kappa_c=2.6e6)]
+    assert doc["results"]["fixed"] == passed[0]
 
 
 @pytest.mark.parametrize("output_dir, out", [("taken", "result.json"), (".", "sub")],
