@@ -37,11 +37,14 @@ fit's success depends on its truncation error: with DOP853 in its
 place, fits started from (kappa_s, N) = 0.7 x truth end 2-4% off while
 reporting convergence.
 
-The integrator keeps every accepted step.  simulate_maser samples one
-solve on an output grid.  The maser fit solves with _solve_burst (its
-photon numbers are bit-identical to simulate_maser's) and takes the
-derivatives of log10 n with respect to log10 (g_e, kappa_s, N) from
-that record with _log_photon_sensitivity: a vectorised numpy pass that
+The integrator keeps every accepted step as native doubles in a
+bytearray that numpy reads in place, one struct pack per step (extending
+an array("d") converts the floats one at a time and was a quarter of the
+solve's time).  simulate_maser samples one solve on an output grid.  The
+maser fit solves with _solve_burst (its photon numbers are bit-identical
+to simulate_maser's) and takes the derivatives of log10 n with respect
+to log10 (g_e, kappa_s, N) from that record with
+_log_photon_sensitivity: a vectorised numpy pass that
 differentiates the Runge-Kutta steps themselves with the step sizes
 held fixed (forward sensitivities with error control on the state only,
 as in CVODES with errconS off; Hindmarsh et al., ACM TOMS 31, 363
@@ -50,7 +53,7 @@ uses, and it costs no second integration.
 """
 
 import math
-from array import array
+import struct
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -199,14 +202,23 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
 # One step record: t_old, t_new, y_old (5) and the stages k1..k7 (35).
 _RECORD = 42
+# Packs one step record as native doubles, the bytes of a float64 array.
+_PACK_RECORD = struct.Struct(f"{_RECORD}d").pack
 
 
 def _rms(x):
-    # Squares by multiplication: an overflow gives inf, as in numpy, not an exception.
-    return math.sqrt(sum([v * v for v in x])) / math.sqrt(len(x))
+    # Summed left to right, as the integrator's inlined norm is; sum() of
+    # floats is compensated from Python 3.12.  Squares by multiplication: an
+    # overflow gives inf, as in numpy, not an exception.
+    total = 0.0
+    for v in x:
+        total += v * v
+    return math.sqrt(total) / math.sqrt(len(x))
 
 
-def _stalled(t_out, done, t0, message):
+def _stalled(t_out, t, t0, message):
+    # the last output time at or before t, the time the solve reached
+    done = bisect_right(t_out, t)
     last = t_out[done - 1] if done else t0
     return IntegrationFailureError(
         f"integration stalled at t = {last:.6e} s: {message}", last_time=last)
@@ -252,12 +264,15 @@ def _integrate_rk45(c, t0, t1, y0, t_eval, rtol, atol):
     k2..k7 evaluate the right-hand side inline, term by term as
     _scaled_rhs does; only the first stage and _initial_step call it.  So
     the record is bit-identical to that of a generic loop over the
-    components calling _scaled_rhs.  Returns the record of every accepted
-    step, one flat float array of _RECORD floats per step, which
-    _dense_output turns into the states at t_eval and
-    _log_photon_sensitivity into their derivatives, and the number of
-    right-hand-side evaluations, 2 + 6 per step attempt, as scipy counts
-    them.
+    components calling _scaled_rhs; the error norm is _rms written out,
+    summed left to right as _rms sums.  Returns the record of every
+    accepted step, a bytearray of _RECORD native doubles per step (the
+    bytes of a float64 array), which _dense_output turns into the states
+    at t_eval and _log_photon_sensitivity into their derivatives, and the
+    number of right-hand-side evaluations, 2 + 6 per step attempt, as
+    scipy counts them.  A step is appended by one precompiled struct pack:
+    array("d").extend converts its floats one at a time through the
+    array's generic item setter.
 
     Raises IntegrationFailureError, carrying the last output time reached,
     when the step size falls below ten float spacings of t, the arithmetic
@@ -265,8 +280,10 @@ def _integrate_rk45(c, t0, t1, y0, t_eval, rtol, atol):
     reach t1.
     """
     t_out = t_eval.tolist()
-    record = array("d")
-    done = 0
+    record = bytearray()
+    pack = _PACK_RECORD
+    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
+    root5 = math.sqrt(5)
     attempts = 0
     t = t0
     # Negation is exact, so -x * y below rounds as (-x) * y in _scaled_rhs.
@@ -279,26 +296,34 @@ def _integrate_rk45(c, t0, t1, y0, t_eval, rtol, atol):
     A61, A62, A63, A64, A65 = _A61, _A62, _A63, _A64, _A65
     B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
     E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
-    # Components of y are a0..a4, of y_new b0..b4, of k1..k7 p, q, r, s, u, v, w;
-    # n, cr, ci, sz, ss is the state at which a stage evaluates the right-hand side.
+    safety, min_factor, max_factor, exponent = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT
+    # Components of y are a0..a4, of y_new b0..b4, their magnitudes aa0..aa4 and
+    # bb0..bb4, of k1..k7 p, q, r, s, u, v, w; n, cr, ci, sz, ss is the state at
+    # which a stage evaluates the right-hand side.
     a0, a1, a2, a3, a4 = y0
+    aa0, aa1, aa2, aa3, aa4 = abs(a0), abs(a1), abs(a2), abs(a3), abs(a4)
     try:
         f = _scaled_rhs(t, y0, c)
         h_abs = _initial_step(_scaled_rhs, c, t0, t1, y0, f, rtol, atol)
         p0, p1, p2, p3, p4 = f
+        # min() and max() are written out as the comparisons they make, so
+        # NaN takes the same branch
         while t < t1:
-            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-            h_abs = max(h_abs, min_step)
+            min_step = 10.0 * (nextafter(t, inf) - t)
+            if min_step > h_abs:
+                h_abs = min_step
             rejected = False
             while True:
                 if not h_abs >= min_step:
-                    raise _stalled(t_out, done, t0, "Required step size is less than "
+                    raise _stalled(t_out, t, t0, "Required step size is less than "
                                    "spacing between numbers.")
                 attempts += 1
                 if attempts > MAX_STEPS:
-                    raise _stalled(t_out, done, t0, f"{MAX_STEPS} step attempts did not reach the "
+                    raise _stalled(t_out, t, t0, f"{MAX_STEPS} step attempts did not reach the "
                                    "end of the span")
-                t_new = min(t + h_abs, t1)
+                t_new = t + h_abs
+                if t1 < t_new:
+                    t_new = t1
                 h = t_new - t
                 n = a0 + (A21 * p0) * h
                 cr = a1 + (A21 * p1) * h
@@ -366,38 +391,43 @@ def _integrate_rk45(c, t0, t1, y0, t_eval, rtol, atol):
                       - g_e * (0.5 * (b3 + 1.0) / n_spins + pair_weight * b4 + b0 * b3))
                 w3 = neg_gamma * b3 + four_g * b2
                 w4 = neg_pair_decay * b4 - two_g * b3 * b2
-                # atol + max(|a|, |b|) rtol, with the choice max() makes, NaN included
-                error_norm = _rms((
-                    (E1 * p0 + E3 * r0 + E4 * s0 + E5 * u0 + E6 * v0 + E7 * w0) * h
-                    / (atol + (abs(b0) if abs(b0) > abs(a0) else abs(a0)) * rtol),
-                    (E1 * p1 + E3 * r1 + E4 * s1 + E5 * u1 + E6 * v1 + E7 * w1) * h
-                    / (atol + (abs(b1) if abs(b1) > abs(a1) else abs(a1)) * rtol),
-                    (E1 * p2 + E3 * r2 + E4 * s2 + E5 * u2 + E6 * v2 + E7 * w2) * h
-                    / (atol + (abs(b2) if abs(b2) > abs(a2) else abs(a2)) * rtol),
-                    (E1 * p3 + E3 * r3 + E4 * s3 + E5 * u3 + E6 * v3 + E7 * w3) * h
-                    / (atol + (abs(b3) if abs(b3) > abs(a3) else abs(a3)) * rtol),
-                    (E1 * p4 + E3 * r4 + E4 * s4 + E5 * u4 + E6 * v4 + E7 * w4) * h
-                    / (atol + (abs(b4) if abs(b4) > abs(a4) else abs(a4)) * rtol)))
+                # _rms of the scaled errors, atol + max(|a|, |b|) rtol, with the
+                # choice max() makes, NaN included
+                bb0, bb1, bb2, bb3, bb4 = abs(b0), abs(b1), abs(b2), abs(b3), abs(b4)
+                x0 = ((E1 * p0 + E3 * r0 + E4 * s0 + E5 * u0 + E6 * v0 + E7 * w0) * h
+                      / (atol + (bb0 if bb0 > aa0 else aa0) * rtol))
+                x1 = ((E1 * p1 + E3 * r1 + E4 * s1 + E5 * u1 + E6 * v1 + E7 * w1) * h
+                      / (atol + (bb1 if bb1 > aa1 else aa1) * rtol))
+                x2 = ((E1 * p2 + E3 * r2 + E4 * s2 + E5 * u2 + E6 * v2 + E7 * w2) * h
+                      / (atol + (bb2 if bb2 > aa2 else aa2) * rtol))
+                x3 = ((E1 * p3 + E3 * r3 + E4 * s3 + E5 * u3 + E6 * v3 + E7 * w3) * h
+                      / (atol + (bb3 if bb3 > aa3 else aa3) * rtol))
+                x4 = ((E1 * p4 + E3 * r4 + E4 * s4 + E5 * u4 + E6 * v4 + E7 * w4) * h
+                      / (atol + (bb4 if bb4 > aa4 else aa4) * rtol))
+                error_norm = sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4) / root5
                 if error_norm < 1:
                     if error_norm == 0:
-                        factor = _MAX_FACTOR
+                        factor = max_factor
                     else:
-                        factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-                    if rejected:
-                        factor = min(1, factor)
+                        factor = safety * error_norm ** exponent
+                        if not factor < max_factor:
+                            factor = max_factor
+                    if rejected and not factor < 1:
+                        factor = 1
                     h_abs = h * factor
                     break
-                h_abs = h * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                factor = safety * error_norm ** exponent
+                h_abs = h * (factor if factor > min_factor else min_factor)
                 rejected = True
-            record.extend((t, t_new, a0, a1, a2, a3, a4, p0, p1, p2, p3, p4,
+            record += pack(t, t_new, a0, a1, a2, a3, a4, p0, p1, p2, p3, p4,
                            q0, q1, q2, q3, q4, r0, r1, r2, r3, r4, s0, s1, s2, s3, s4,
-                           u0, u1, u2, u3, u4, v0, v1, v2, v3, v4, w0, w1, w2, w3, w4))
-            done = bisect_right(t_out, t_new, done)
+                           u0, u1, u2, u3, u4, v0, v1, v2, v3, v4, w0, w1, w2, w3, w4)
             t = t_new
             a0, a1, a2, a3, a4 = b0, b1, b2, b3, b4
+            aa0, aa1, aa2, aa3, aa4 = bb0, bb1, bb2, bb3, bb4
             p0, p1, p2, p3, p4 = w0, w1, w2, w3, w4
     except ArithmeticError as exc:
-        raise _stalled(t_out, done, t0, f"arithmetic failure ({exc})") from None
+        raise _stalled(t_out, t, t0, f"arithmetic failure ({exc})") from None
     return record, 2 + 6 * attempts
 
 

@@ -704,9 +704,13 @@ def fit_maser_parameters(photon_trace, fixed, init):
     result = nlls_minimize(*raw, p_start, max_step=POLISH_STEP_CAP)
 
     # stage 4 (fallback): if the polish is still far off, smooth the
-    # log-envelope to erase ripple phase structure, descend on that,
-    # then re-polish; keep whichever end point fits the raw data better
+    # log-envelope to erase ripple phase structure, descend on that from
+    # the polish's start (the scan's best solve is put back as the model's
+    # last, so that start costs no solve), then re-polish; keep whichever
+    # end point fits the raw data better
     if result.residual_norm ** 2 > 1e-6:
+        if best is not None:
+            burst.last = best[2]
         width = _envelope_width(t)
         res_smooth = nlls_minimize(*burst.smoothed(width), _moving_average(log_data, width),
                                    p_start, max_step=SMOOTH_STEP_CAP)

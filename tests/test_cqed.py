@@ -209,6 +209,27 @@ def test_arithmetic_failure_is_an_integration_failure(overrides):
     assert info.value.last_time == 0.0
 
 
+def test_stop_in_mid_span_carries_the_last_output_time_reached(monkeypatch):
+    # The step budget runs out partway through the canonical burst; the
+    # failure names the last output point at or before the time the solve
+    # reached, which is the end of the last step it recorded.
+    reached = []
+    pack = cqed._PACK_RECORD
+
+    def traced_pack(*step):
+        reached.append(step[1])
+        return pack(*step)
+
+    monkeypatch.setattr(cqed, "_PACK_RECORD", traced_pack)
+    monkeypatch.setattr(cqed, "MAX_STEPS", 300)
+    t_eval = np.linspace(0.0, 1.5e-5, 600)
+    with pytest.raises(IntegrationFailureError, match="step attempts") as info:
+        cqed._solve_burst(REF_PARAMS, REF_INIT, t_eval)
+    assert 0.0 < reached[-1] < t_eval[-1]
+    assert info.value.last_time > 0.0
+    assert info.value.last_time == t_eval[t_eval <= reached[-1]][-1]
+
+
 def test_cli_runs_without_scipy(tmp_path):
     clean, _ = biexp_trepr()
     trepr, _ = biexp_trepr(noise_rms=0.01 * float(np.max(np.abs(clean.y))), seed=4)
@@ -258,7 +279,7 @@ def test_kept_steps_solve_is_bit_identical_to_simulate_maser():
     traj = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5), t_eval=t_eval)
     assert np.array_equal(solve.photon_number, traj.photon_number)
     # every accepted step is kept, not only the 600 that host output points
-    assert len(solve.record) // cqed._RECORD > 1000
+    assert len(np.frombuffer(solve.record)) // cqed._RECORD > 1000
 
 
 def reference_rk45(rhs, c, t0, t1, y0, rtol, atol):

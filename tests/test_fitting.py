@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import re
@@ -513,6 +514,25 @@ def test_polish_starts_on_the_scan_solve(monkeypatch):
     fit_maser_parameters(trace, fixed, truth * np.array([1.3, 0.7, 1.3]))
     assert marks[0] >= len(fitting.KS_SCAN_FACTORS)    # the scan solved before the polish
     assert marks[1] == marks[0]
+
+
+@pytest.mark.parametrize("start", [(0.7, 0.7), (0.7, 1.3), (1.3, 0.7), (1.3, 1.3)],
+                         ids=lambda s: "ks{}-n{}".format(*s))
+def test_no_parameter_point_is_solved_twice_in_a_fit(monkeypatch, start):
+    # The four (kappa_s, N) start classes of acceptance 08; (0.7, 0.7) runs
+    # stage 4, which starts on the scan's solve as the polish does.
+    trace, fixed, truth = noiseless_burst()
+    solved = []
+    solve_burst = cqed._solve_burst
+
+    def counted_solve(params, init, t_eval):
+        solved.append((params.g_e, params.kappa_s, params.n_spins))
+        return solve_burst(params, init, t_eval)
+
+    monkeypatch.setattr(cqed, "_solve_burst", counted_solve)
+    fit_maser_parameters(trace, fixed, truth * np.array([0.7, *start]))
+    repeated = {p: n for p, n in collections.Counter(solved).items() if n > 1}
+    assert not repeated, f"{len(solved)} solves, repeated: {repeated}"
 
 
 def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
