@@ -364,8 +364,8 @@ def _cmd_simulate_maser(args, manifest):
     # explicit flags take precedence over the parameter file
     t_max_us = args.t_max_us if args.t_max_us is not None else values.get("t_max_us", 15.0)
     t_max = t_max_us * 1e-6
-    n_points = int(args.points if args.points is not None
-                   else values.get("n_points", cqed.DEFAULT_NPOINTS))
+    n_points = (args.points if args.points is not None
+                else values.get("n_points", cqed.DEFAULT_NPOINTS))
     rtol = cqed.DEFAULT_RTOL if args.rtol is None else args.rtol
     atol = cqed.DEFAULT_ATOL if args.atol is None else args.atol
     traj = cqed.simulate_maser(params, init, (0.0, t_max),

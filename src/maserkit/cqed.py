@@ -40,11 +40,11 @@ reporting convergence.
 The integrator keeps every accepted step as native doubles in a
 bytearray that numpy reads in place, one struct pack per step (extending
 an array("d") converts the floats one at a time and was a quarter of the
-solve's time).  simulate_maser samples one solve on an output grid.  The
-maser fit solves with _solve_burst (its photon numbers are bit-identical
-to simulate_maser's) and takes the derivatives of log10 n with respect
-to log10 (g_e, kappa_s, N) from that record with
-_log_photon_sensitivity: a vectorised numpy pass that
+solve's time).  simulate_maser is the one way a burst is solved: it
+samples the solve on an output grid and returns the record with the
+trajectory.  The maser fit solves through it and takes the derivatives
+of log10 n with respect to log10 (g_e, kappa_s, N) from a trajectory's
+record with _log_photon_sensitivity: a vectorised numpy pass that
 differentiates the Runge-Kutta steps themselves with the step sizes
 held fixed (forward sensitivities with error control on the state only,
 as in CVODES with errconS off; Hindmarsh et al., ACM TOMS 31, 363
@@ -56,7 +56,7 @@ import math
 import struct
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -105,11 +105,10 @@ class MaserSystemParams:
     n_bar: float
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not is_finite_real(value):
-                raise InvalidInputError(
-                    f"{field.name} must be a finite real number, got {value!r}")
+                raise InvalidInputError(f"{f.name} must be a finite real number, got {value!r}")
         for name in ("g_e", "kappa_c", "kappa_s", "gamma", "n_bar"):
             if getattr(self, name) < 0:
                 raise InvalidInputError(f"{name} must be >= 0")
@@ -141,8 +140,8 @@ _RhsCoefficients = namedtuple("_RhsCoefficients", (
 
 
 def _rhs_coefficients(p):
-    """Per-solve constants of _scaled_rhs for the parameters p."""
-    return _RhsCoefficients(
+    """Per-solve constants of _scaled_rhs for the parameters p, as floats."""
+    c = _RhsCoefficients(
         kappa_c=p.kappa_c,
         feed=p.kappa_c * p.n_bar / p.n_spins,
         half_width=0.5 * (p.kappa_c + p.gamma + p.kappa_s),
@@ -155,6 +154,7 @@ def _rhs_coefficients(p):
         pair_weight=1.0 - 1.0 / p.n_spins,
         pair_decay=p.gamma + p.kappa_s,
     )
+    return c._make(float(v) for v in c)
 
 
 # The reference right-hand side: _integrate_rk45 inlines it term by term.
@@ -485,39 +485,21 @@ def _rhs_derivatives(y, c, kappa_s):
 
 
 def _scaled_start(params, init):
-    """(y0, float RHS coefficients, N) of the N-scaled system."""
+    """(y0, RHS coefficients, N) of the N-scaled system."""
     N = float(params.n_spins)
     c0 = complex(init.coherence)
     y0 = (float(init.photon_number) / N, c0.real / N, c0.imag / N,
           float(init.inversion), float(init.spin_correlation) / N)
-    return y0, _RhsCoefficients._make(float(v) for v in _rhs_coefficients(params)), N
+    return y0, _rhs_coefficients(params), N
 
 
-_BurstSolve = namedtuple("_BurstSolve", (
-    "params", "y0", "coeffs", "t_eval", "record", "photon_number"))
+def _log_photon_sensitivity(traj):
+    """d log10 n / d log10 (g_e, kappa_s, n_spins) on traj.t, shape (len, 3).
 
-
-def _solve_burst(params, init, t_eval):
-    """Photon numbers on the increasing grid t_eval and the solve's step record.
-
-    It is simulate_maser's solve over (t_eval[0], t_eval[-1]) at the
-    default tolerances, so photon_number is bit-identical to
-    simulate_maser(params, init, (t_eval[0], t_eval[-1]), t_eval=t_eval);
-    the record feeds _log_photon_sensitivity.  Raises
-    IntegrationFailureError as simulate_maser does.
-    """
-    y0, coeffs, N = _scaled_start(params, init)
-    record, _ = _integrate_rk45(coeffs, float(t_eval[0]), float(t_eval[-1]), y0, t_eval,
-                                DEFAULT_RTOL, DEFAULT_ATOL)
-    return _BurstSolve(params, y0, coeffs, t_eval, record,
-                       _dense_output(record, t_eval)[0] * N)
-
-
-def _log_photon_sensitivity(solve):
-    """d log10 n / d log10 (g_e, kappa_s, n_spins) on solve.t_eval, shape (len, 3).
-
-    The exact derivative of the recorded Runge-Kutta solution with its
-    step sizes frozen.  A step maps the sensitivity S = dy/dp (5 x 3)
+    The exact derivative of the Runge-Kutta solution in the step record
+    of the trajectory traj, with its step sizes frozen; the initial state
+    is the record's first row and the coefficients are those of
+    traj.params.  A step maps the sensitivity S = dy/dp (5 x 3)
     affinely, S_next = M S + v, with M and v built from the stage
     Jacobians of _scaled_rhs; as 8 x 8 matrices [[M, v], [0, I]] acting
     on [S; I] the maps combine by a log-depth prefix product, in blocks
@@ -526,14 +508,15 @@ def _log_photon_sensitivity(solve):
     quartic dense output.  The initial state and n = N y[0] add the
     dependence on N through the scaling.
     """
-    rec = np.frombuffer(solve.record, dtype=float).reshape(-1, _RECORD)
-    t_eval = solve.t_eval
-    kappa_s = float(solve.params.kappa_s)
+    rec = np.frombuffer(traj._record, dtype=float).reshape(-1, _RECORD)
+    t_eval = traj.t
+    coeffs = _rhs_coefficients(traj.params)
+    kappa_s = float(traj.params.kappa_s)
     host = np.searchsorted(rec[:, 1], t_eval)
     frame = np.eye(5, 8)
     # [S; I] at the current step; y0 scales as 1/N except the inversion
     state = np.eye(8, 3, -5)
-    state[:5, 2] = -_LN10 * np.array(solve.y0)
+    state[:5, 2] = -_LN10 * rec[0, 2:7]
     state[3, 2] = 0.0
     sens = np.empty((len(t_eval), 5, 3))
     for lo in range(0, len(rec), _SENSITIVITY_BLOCK):
@@ -542,7 +525,7 @@ def _log_photon_sensitivity(solve):
         h = (block[:, 1] - block[:, 0])[:, None, None]
         k = block[:, 7:].reshape(m, 7, 5)
         stage_y = block[:, None, 2:7] + h * np.einsum("ij,mjd->mid", _STAGES, k[:, :6])
-        dy, dp = _rhs_derivatives(stage_y.reshape(-1, 5), solve.coeffs, kappa_s)
+        dy, dp = _rhs_derivatives(stage_y.reshape(-1, 5), coeffs, kappa_s)
         dy, dp = dy.reshape(m, 7, 5, 5), dp.reshape(m, 7, 5, 3)
         # maps[:, i] = d k_(i+1) / d [S; p], with z the derivative of the
         # stage's state; the last z, that of y_new, is the step's [M | v]
@@ -568,7 +551,7 @@ def _log_photon_sensitivity(solve):
         weights = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1) @ _DENSE_P.T
         sens[first:stop] = (states[steps, :5][where]
                             + hh[:, None, None] * np.einsum("qi,qids->qds", weights, stages))
-    n_scaled = solve.photon_number / solve.coeffs.n_spins
+    n_scaled = traj.photon_number / coeffs.n_spins
     out = sens[:, 0, :] / (_LN10 * n_scaled[:, None])
     out[:, 2] += 1.0
     return out
@@ -576,7 +559,14 @@ def _log_photon_sensitivity(solve):
 
 @dataclass(frozen=True)
 class MaserTrajectory:
-    """Simulated expectation values on a uniform output grid (physical units)."""
+    """Simulated expectation values on an output grid (physical units).
+
+    _record, left out of repr and comparison, is the solve's record of
+    every accepted step, which _log_photon_sensitivity differentiates to
+    give the maser fit its Jacobian without a second solve.  It outweighs
+    the arrays: 433 KB for the 1,288 steps of the canonical 15 us burst
+    (synthetic.BURST_DEFAULTS), against 96 KB of arrays at 2,000 points.
+    """
 
     t: np.ndarray
     photon_number: np.ndarray
@@ -584,6 +574,7 @@ class MaserTrajectory:
     inversion: np.ndarray
     spin_correlation: np.ndarray
     params: MaserSystemParams
+    _record: bytearray = field(repr=False, compare=False)
 
     def photon_trace(self):
         return TimeTrace(self.t, self.photon_number, "photons")
@@ -603,11 +594,11 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     init : MaserState
         Initial expectation values (physical units, not N-scaled).
     t_span : (float, float)
-        Start and end time in seconds.
+        Start and end time in seconds, finite.
     rtol, atol : float
-        Tolerances applied to the N-scaled state.
+        Tolerances applied to the N-scaled state, positive and finite.
     n_points : int
-        Number of uniform output samples when t_eval is not given, >= 1.
+        Number (whole, >= 1) of uniform output samples without t_eval.
     t_eval : array_like, optional
         Explicit output grid (seconds) overriding n_points: non-empty,
         finite, increasing and within t_span.
@@ -618,18 +609,21 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
 
     Raises
     ------
+    InvalidInputError
+        On any input outside the ranges above, before the first step.
     IntegrationFailureError
         If the integrator cannot advance; carries the last good time.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t0 < t1:
-        raise InvalidInputError(f"require t_span[0] < t_span[1], got {t_span!r}")
-    if rtol <= 0 or atol <= 0:
-        raise InvalidInputError("tolerances must be positive")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise InvalidInputError(f"require finite t_span[0] < t_span[1], got {t_span!r}")
+    if not (is_finite_real(rtol) and rtol > 0 and is_finite_real(atol) and atol > 0):
+        raise InvalidInputError(
+            f"tolerances must be positive and finite, got rtol={rtol!r}, atol={atol!r}")
     init.validate(scale=max(params.n_bar, 1.0))
     if t_eval is None:
-        if int(n_points) < 1:
-            raise InvalidInputError(f"n_points must be >= 1, got {n_points!r}")
+        if not (is_finite_real(n_points) and n_points == int(n_points) and n_points >= 1):
+            raise InvalidInputError(f"n_points must be a whole number >= 1, got {n_points!r}")
         t_eval = np.linspace(t0, t1, int(n_points))
     else:
         t_eval = np.array(t_eval, dtype=float)
@@ -652,6 +646,7 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         inversion=y[3],
         spin_correlation=y[4] * N,
         params=params,
+        _record=record,
     )
 
 

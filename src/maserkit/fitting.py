@@ -31,15 +31,16 @@ first (exponential growth rate of the rise for g_e, through the
 closed-form inverse of the linearized gain eigenvalue; peak height for
 N; post-peak envelope decay for kappa_s), sharpens kappa_s with a small
 deterministic scan, and only then polishes with Levenberg-Marquardt.
-Every stage solves its bursts through one model over
-log10 (g_e, kappa_s, N) that keeps the step record of its last solve,
-and the scan's best solve is the polish's first evaluation.  The fit
-takes the floored log10 of model and data itself (_log10), and the
-Jacobian d log10 n / d log10 (g_e, kappa_s, N) comes from that record by
-the sensitivity pass of cqed: exact for the discretization the residual
-uses, at a fraction of a solve's cost, and with no solve at all when the
-point was just evaluated.  All stages are plain function evaluations;
-nothing is stochastic.
+Every stage solves its bursts with cqed.simulate_maser through one model
+over log10 (g_e, kappa_s, N) that keeps one entry, its last trajectory
+and that trajectory's Jacobian, and the scan's best entry is the
+polish's first evaluation.  The fit takes the floored log10 of model and
+data itself (_log10), and the Jacobian d log10 n / d log10 (g_e,
+kappa_s, N) comes from the trajectory's step record by the sensitivity
+pass of cqed: exact for the discretization the residual uses, at a
+fraction of a solve's cost, and with no solve at all when the point was
+just evaluated.  All stages are plain function evaluations; nothing is
+stochastic.
 """
 
 import math
@@ -165,7 +166,8 @@ def nlls_minimize(model, jacobian, y, init, max_iterations=MAX_ITERATIONS, max_s
     if J is not None:    # the condition of the last iteration's Jacobian
         svals = np.linalg.svd(J, compute_uv=False)
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    J = np.asarray(jacobian(p), dtype=float)
+    if J is None or accepted:    # else every trial was rejected and J is at p
+        J = np.asarray(jacobian(p), dtype=float)
     if not converged and math.isfinite(cost):
         # Every trial was rejected, or the cap was reached.  When an
         # earlier step reached the optimum, rounding rejects or wastes
@@ -496,31 +498,32 @@ def _log10(x):
 class _BurstModel:
     """The burst over p = log10 (g_e, kappa_s, n_spins) on the data grid.
 
-    Every solve of the maser fit goes through solve(p): cqed._solve_burst
-    with the held quantities of fixed, or None when the integration
-    fails.  log_photons(p) is the _log10 of its photon trace, the fit's
-    one model, and log_jacobian(p) gives d log10 n / dp from its step
-    record by cqed._log_photon_sensitivity.
-    The model keeps its last solve in last and its last Jacobian, so a
-    Jacobian at the point just evaluated costs only the sensitivity pass,
-    and one asked for again costs nothing.  A failed simulation gives a
-    log10 photon trace of 300 (n = 1e300), penalized rather than fatal,
-    to push the optimizer away while the cost stays finite, and a zero
-    Jacobian.  cqed is imported here, so the exponential fits never load
-    it.
+    Every solve of the maser fit goes through solve(p):
+    cqed.simulate_maser with the held quantities of fixed on the data
+    grid, or None when the integration fails.  log_photons(p) is the
+    _log10 of its photon trace, the fit's one model, and log_jacobian(p)
+    gives d log10 n / dp from the trajectory's step record by
+    cqed._log_photon_sensitivity.  The model keeps one entry, [key,
+    trajectory, Jacobian], with the Jacobian filled in place once asked
+    for: a Jacobian at the point just evaluated costs only the
+    sensitivity pass, one asked for again costs nothing, and an entry
+    put back (the kappa_s scan's best) brings back its Jacobian too.  A
+    failed simulation gives a log10 photon trace of 300 (n = 1e300),
+    penalized rather than fatal, to push the optimizer away while the
+    cost stays finite, and a zero Jacobian.  cqed is imported here, so
+    the exponential fits never load it.
     """
 
     def __init__(self, fixed, t_grid):
         self.fixed = fixed
         self.t = t_grid
-        self.last = (None, None)         # (key, cqed._BurstSolve or None)
-        self._jacobian = (None, None)    # (key, d log10 n / dp)
+        self.entry = [None, None, None]
 
     def solve(self, p):
         from . import cqed
 
         key = p.tobytes()
-        if self.last[0] != key:
+        if self.entry[0] != key:
             fixed = self.fixed
             params = cqed.MaserSystemParams(
                 g_e=10.0 ** p[0], kappa_c=fixed["kappa_c"], kappa_s=10.0 ** p[1],
@@ -528,31 +531,29 @@ class _BurstModel:
                 n_spins=10.0 ** p[2], n_bar=fixed["n_bar"])
             init = cqed.MaserState(photon_number=fixed["n_bar"], coherence=0.0,
                                    inversion=fixed["inversion0"], spin_correlation=0.0)
-            init.validate(scale=max(fixed["n_bar"], 1.0))
             try:
-                solve = cqed._solve_burst(params, init, self.t)
+                traj = cqed.simulate_maser(params, init, (self.t[0], self.t[-1]), t_eval=self.t)
             except NumericalError:
-                solve = None
-            self.last = (key, solve)
-        return self.last[1]
+                traj = None
+            self.entry = [key, traj, None]
+        return self.entry[1]
 
     def log_photons(self, p):
-        solve = self.solve(p)
-        return np.full(len(self.t), 300.0) if solve is None else _log10(solve.photon_number)
+        traj = self.solve(p)
+        return np.full(len(self.t), 300.0) if traj is None else _log10(traj.photon_number)
 
     def log_jacobian(self, p):
         from . import cqed
 
-        key = p.tobytes()
-        if self._jacobian[0] != key:
-            solve = self.solve(p)
-            if solve is None:
+        traj = self.solve(p)
+        if self.entry[2] is None:
+            if traj is None:
                 jac = np.zeros((len(self.t), 3))
             else:
-                jac = cqed._log_photon_sensitivity(solve)
-                jac[~(solve.photon_number > LOG_FLOOR)] = 0.0   # log10 floor is flat
-            self._jacobian = (key, jac)
-        return self._jacobian[1]
+                jac = cqed._log_photon_sensitivity(traj)
+                jac[~(traj.photon_number > LOG_FLOOR)] = 0.0   # log10 floor is flat
+            self.entry[2] = jac
+        return self.entry[2]
 
     def smoothed(self, width):
         """(model, jacobian) of the moving average of log_photons.
@@ -679,8 +680,8 @@ def fit_maser_parameters(photon_trace, fixed, init):
     # stage 2: deterministic micro-scan over kappa_s with the spin
     # count re-pinned by the peak at every step; the envelope secant
     # can stall a percent away, just outside the polish basin.  Its
-    # score is the log10 residual, and its best solve is put back as the
-    # model's last, for the polish to start on.
+    # score is the log10 residual, and its best entry is put back as the
+    # model's, for the polish to start on.
     p_start = np.log10([g_e, kappa_s, n_spins])
     peak_data = float(np.max(y_data))
     pinned = []
@@ -695,9 +696,9 @@ def fit_maser_parameters(photon_trace, fixed, init):
         r = burst.log_photons(p_try) - log_data
         cost = float(r @ r)
         if best is None or cost < best[0]:
-            best = (cost, p_try, burst.last)
+            best = (cost, p_try, burst.entry)
     if best is not None:
-        _, p_start, burst.last = best
+        _, p_start, burst.entry = best
 
     # stage 3: capped Levenberg-Marquardt polish
     raw = (burst.log_photons, burst.log_jacobian, log_data)
@@ -705,12 +706,12 @@ def fit_maser_parameters(photon_trace, fixed, init):
 
     # stage 4 (fallback): if the polish is still far off, smooth the
     # log-envelope to erase ripple phase structure, descend on that from
-    # the polish's start (the scan's best solve is put back as the model's
-    # last, so that start costs no solve), then re-polish; keep whichever
-    # end point fits the raw data better
+    # the polish's start (the scan's best entry is put back, so that start
+    # costs no solve and no sensitivity pass), then re-polish; keep
+    # whichever end point fits the raw data better
     if result.residual_norm ** 2 > 1e-6:
         if best is not None:
-            burst.last = best[2]
+            burst.entry = best[2]
         width = _envelope_width(t)
         res_smooth = nlls_minimize(*burst.smoothed(width), _moving_average(log_data, width),
                                    p_start, max_step=SMOOTH_STEP_CAP)

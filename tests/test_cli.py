@@ -279,13 +279,13 @@ def test_fit_maser_input_is_refused_before_any_solve(tmp_path, capsys, monkeypat
     fixed = tmp_path / "fixed.json"
     fixed.write_text('{"kappa_C": 9e9, "g_e": 1}')
     solves = [0]
-    solve_burst = cqed._solve_burst
+    simulate = cqed.simulate_maser
 
     def counted_solve(*args, **kwargs):
         solves[0] += 1
-        return solve_burst(*args, **kwargs)
+        return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(cqed, "_solve_burst", counted_solve)
+    monkeypatch.setattr(cqed, "simulate_maser", counted_solve)
     code = cli.main(["fit-maser", str(trace), "--output-dir", str(tmp_path),
                      *(a.format(fixed=fixed) for a in argv)])
     err = capsys.readouterr().err
@@ -376,10 +376,11 @@ def test_header_only_csv_fails_with_one_error_line(tmp_path, capfd, argv, header
     (["simulate-maser", "--points", "0"], None),
     (["simulate-maser", "--points", "-3"], None),
     (["simulate-maser"], {"n_points": 0}),
+    (["simulate-maser"], {"n_points": 1.5}),
     (["simulate-triplet", "--points", "-3"],
      {"k_x": 3e5, "k_z": 5e4, "w_xz": 9e4, "n_x0": 0.6, "n_y0": 0.21, "n_z0": 0.19}),
 ], ids=["maser-points-0", "maser-points-negative", "maser-params-n-points-0",
-        "triplet-points-negative"])
+        "maser-params-n-points-fraction", "triplet-points-negative"])
 def test_no_output_points_fails_cleanly(tmp_path, capsys, argv, params):
     if params is not None:
         (tmp_path / "params.json").write_text(json.dumps(params))

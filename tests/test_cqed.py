@@ -200,6 +200,25 @@ def test_interior_output_grid_integrates_from_span_start():
             simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.2e-5), t_eval=bad)
 
 
+def never_integrate(*args):
+    raise AssertionError("the integrator ran on refused input")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rtol": math.nan}, {"atol": math.nan}, {"rtol": math.inf}, {"atol": math.inf},
+    {"t_span": (0.0, math.inf)}, {"n_points": 1.5}, {"n_points": math.nan},
+], ids=["rtol-nan", "atol-nan", "rtol-inf", "atol-inf", "span-end-inf", "n-points-fraction",
+        "n-points-nan"])
+def test_non_finite_tolerances_span_and_point_counts_are_refused(monkeypatch, kwargs):
+    # rtol = nan or inf failed as an integration at t = 0, atol = inf returned
+    # a negative photon number, an infinite span ran the whole step budget and
+    # a fractional n_points was truncated
+    monkeypatch.setattr(cqed, "_integrate_rk45", never_integrate)
+    kwargs = {"t_span": (0.0, 1.5e-5), **kwargs}
+    with pytest.raises(InvalidInputError):
+        simulate_maser(REF_PARAMS, REF_INIT, **kwargs)
+
+
 @pytest.mark.parametrize("overrides", [{"kappa_c": 1e308}, {"n_bar": 1e300}, {"g_e": 1e200}],
                          ids=["kappa_c", "n_bar", "g_e"])
 def test_arithmetic_failure_is_an_integration_failure(overrides):
@@ -224,7 +243,7 @@ def test_stop_in_mid_span_carries_the_last_output_time_reached(monkeypatch):
     monkeypatch.setattr(cqed, "MAX_STEPS", 300)
     t_eval = np.linspace(0.0, 1.5e-5, 600)
     with pytest.raises(IntegrationFailureError, match="step attempts") as info:
-        cqed._solve_burst(REF_PARAMS, REF_INIT, t_eval)
+        simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5), t_eval=t_eval)
     assert 0.0 < reached[-1] < t_eval[-1]
     assert info.value.last_time > 0.0
     assert info.value.last_time == t_eval[t_eval <= reached[-1]][-1]
@@ -275,11 +294,14 @@ def test_runaway_solve_stops_at_the_step_budget(overrides):
 
 def test_kept_steps_solve_is_bit_identical_to_simulate_maser():
     t_eval = np.linspace(0.0, 1.5e-5, 600)
-    solve = cqed._solve_burst(REF_PARAMS, REF_INIT, t_eval)
     traj = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5), t_eval=t_eval)
-    assert np.array_equal(solve.photon_number, traj.photon_number)
+    kept = cqed._dense_output(traj._record, t_eval)[0] * REF_PARAMS.n_spins
+    assert np.array_equal(kept, traj.photon_number)
     # every accepted step is kept, not only the 600 that host output points
-    assert len(np.frombuffer(solve.record)) // cqed._RECORD > 1000
+    assert len(np.frombuffer(traj._record)) // cqed._RECORD > 1000
+    # the record is not part of the trajectory's value
+    assert "_record" not in repr(traj)
+    assert not any(f.compare for f in dataclasses.fields(traj) if f.name == "_record")
 
 
 def reference_rk45(rhs, c, t0, t1, y0, rtol, atol):
@@ -379,9 +401,9 @@ def scaled_params(p):
 
 def log_photons(p, t_eval):
     """log10 n of one solve at p and the step sizes it took."""
-    solve = cqed._solve_burst(scaled_params(p), REF_INIT, t_eval)
-    record = np.frombuffer(solve.record).reshape(-1, cqed._RECORD)
-    return np.log10(solve.photon_number), record[:, 1] - record[:, 0]
+    traj = simulate_maser(scaled_params(p), REF_INIT, (0.0, t_eval[-1]), t_eval=t_eval)
+    record = np.frombuffer(traj._record).reshape(-1, cqed._RECORD)
+    return np.log10(traj.photon_number), record[:, 1] - record[:, 0]
 
 
 def test_exact_jacobian_matches_central_differences():
@@ -397,7 +419,7 @@ def test_exact_jacobian_matches_central_differences():
     for fg, fk, fn in itertools.product((0.7, 1.0, 1.3), repeat=3):
         p = np.log10([fg * REF_PARAMS.g_e, fk * REF_PARAMS.kappa_s, fn * REF_PARAMS.n_spins])
         exact = cqed._log_photon_sensitivity(
-            cqed._solve_burst(scaled_params(p), REF_INIT, t_eval))
+            simulate_maser(scaled_params(p), REF_INIT, (0.0, t_eval[-1]), t_eval=t_eval))
         for j in range(3):
             d = 1e-8 * abs(p[j])
             while True:
@@ -435,9 +457,9 @@ def test_exact_jacobian_is_the_frozen_step_derivative():
     # derivative: central differences agree to their own rounding.
     t_eval = np.linspace(0.0, 1.5e-5, 600)
     p = np.log10([1.3 * REF_PARAMS.g_e, REF_PARAMS.kappa_s, 0.7 * REF_PARAMS.n_spins])
-    solve = cqed._solve_burst(scaled_params(p), REF_INIT, t_eval)
-    exact = cqed._log_photon_sensitivity(solve)
-    record = np.frombuffer(solve.record).reshape(-1, cqed._RECORD)
+    traj = simulate_maser(scaled_params(p), REF_INIT, (0.0, t_eval[-1]), t_eval=t_eval)
+    exact = cqed._log_photon_sensitivity(traj)
+    record = np.frombuffer(traj._record).reshape(-1, cqed._RECORD)
     steps = record[:, 1] - record[:, 0]
     for j in range(3):
         d = 1e-8 * abs(p[j]) * np.eye(3)[j]

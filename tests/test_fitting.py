@@ -165,13 +165,17 @@ def test_lm_stalled_at_the_optimum_is_converged():
     def model(p):
         return p[0] * np.exp(-np.exp(p[2]) * t) + p[1] * np.exp(-np.exp(p[3]) * t)
 
+    jacobians = []
+
     def jacobian(p):
+        jacobians.append(p)
         e1, e2 = np.exp(-np.exp(p[2]) * t), np.exp(-np.exp(p[3]) * t)
         return np.column_stack([e1, e2, -p[0] * np.exp(p[2]) * t * e1,
                                 -p[1] * np.exp(p[3]) * t * e2])
 
     start = fitting._fit_exponentials(t, trace.y, 2).params
     for _ in range(5):
+        jacobians.clear()
         res = nlls_minimize(model, jacobian, trace.y, start)
         if np.array_equal(res.params, start):    # no trial step was accepted
             break
@@ -179,6 +183,8 @@ def test_lm_stalled_at_the_optimum_is_converged():
     else:
         pytest.fail("LM still moved its start after 5 reruns")
     assert res.converged
+    # the Jacobian at the start also serves the final test and uncertainties
+    assert len(jacobians) == 1
 
 
 def test_biexp_error_cases():
@@ -402,7 +408,7 @@ def fail_integration(*args, **kwargs):
 
 def test_failed_solve_gives_penalty_row_and_zero_jacobian(monkeypatch):
     trace, fixed, truth = noiseless_burst()
-    monkeypatch.setattr(cqed, "_solve_burst", fail_integration)
+    monkeypatch.setattr(cqed, "simulate_maser", fail_integration)
     burst = fitting._BurstModel(fixed, trace.t)
     p = np.log10(truth)
     assert np.array_equal(burst.log_photons(p), np.full(len(trace.t), 300.0))
@@ -432,7 +438,7 @@ def test_maser_fit_survives_when_every_simulation_fails(monkeypatch):
     # second solve; the polish sees only penalty rows and stalls, and
     # the smoothed stage's cost stays finite (no overflow warning)
     trace, fixed, truth = noiseless_burst()
-    monkeypatch.setattr(cqed, "_solve_burst", fail_integration)
+    monkeypatch.setattr(cqed, "simulate_maser", fail_integration)
     res = fit_maser_parameters(trace, fixed, truth)
     assert not res.converged
     assert np.all(np.isfinite(res.params))
@@ -446,7 +452,7 @@ def test_maser_fit_jacobians_reuse_the_evaluated_solve(monkeypatch):
     evaluated = set()
     log_jacobian = fitting._BurstModel.log_jacobian
     log_photons = fitting._BurstModel.log_photons
-    solve_burst = cqed._solve_burst
+    simulate = cqed.simulate_maser
 
     def traced_jacobian(self, p):
         counts["jacobians"] += 1
@@ -464,11 +470,11 @@ def test_maser_fit_jacobians_reuse_the_evaluated_solve(monkeypatch):
     def traced_solve(*args, **kwargs):
         counts["solves"] += 1
         counts["solves_inside"] += counts["depth"] > 0
-        return solve_burst(*args, **kwargs)
+        return simulate(*args, **kwargs)
 
     monkeypatch.setattr(fitting._BurstModel, "log_jacobian", traced_jacobian)
     monkeypatch.setattr(fitting._BurstModel, "log_photons", traced_log_photons)
-    monkeypatch.setattr(cqed, "_solve_burst", traced_solve)
+    monkeypatch.setattr(cqed, "simulate_maser", traced_solve)
     res = fit_maser_parameters(trace, fixed, truth * np.array([1.3, 0.7, 1.3]))
     assert np.all(np.abs(res.params / truth - 1.0) < 0.02)
     assert counts["jacobians"] >= 2
@@ -477,25 +483,57 @@ def test_maser_fit_jacobians_reuse_the_evaluated_solve(monkeypatch):
 
 
 def test_maser_fit_solves_every_burst_through_the_burst_model(monkeypatch):
+    # one path: every integration of a fit is a simulate_maser call that
+    # _BurstModel.solve makes
     trace, fixed, truth = noiseless_burst()
-    monkeypatch.setattr(cqed, "simulate_maser", fail_integration)
+    inside = {"solve": 0, "simulate": 0}
+    calls = {"simulate": 0, "integrate": 0}
+    solve = fitting._BurstModel.solve
+    simulate = cqed.simulate_maser
+    integrate = cqed._integrate_rk45
+
+    def traced_solve(self, p):
+        inside["solve"] += 1
+        try:
+            return solve(self, p)
+        finally:
+            inside["solve"] -= 1
+
+    def traced_simulate(*args, **kwargs):
+        assert inside["solve"] == 1
+        calls["simulate"] += 1
+        inside["simulate"] += 1
+        try:
+            return simulate(*args, **kwargs)
+        finally:
+            inside["simulate"] -= 1
+
+    def traced_integrate(*args):
+        assert inside["simulate"] == 1
+        calls["integrate"] += 1
+        return integrate(*args)
+
+    monkeypatch.setattr(fitting._BurstModel, "solve", traced_solve)
+    monkeypatch.setattr(cqed, "simulate_maser", traced_simulate)
+    monkeypatch.setattr(cqed, "_integrate_rk45", traced_integrate)
     res = fit_maser_parameters(trace, fixed, truth * np.array([0.7, 1.3, 0.7]))
     assert res.converged
     assert np.all(np.abs(res.params / truth - 1.0) < 0.02)
+    assert calls["integrate"] == calls["simulate"] > 0
 
 
 def test_polish_starts_on_the_scan_solve(monkeypatch):
-    # the scan puts its best solve back as the model's last, so the first
+    # the scan puts its best entry back as the model's, so the first
     # nlls_minimize evaluates its start and the Jacobian there unsolved
     trace, fixed, truth = noiseless_burst()
     solves = [0]
     marks = []    # solves made by the entry to the first nlls_minimize, then by each Jacobian
-    solve_burst = cqed._solve_burst
+    simulate = cqed.simulate_maser
     minimize = fitting.nlls_minimize
 
     def counted_solve(*args, **kwargs):
         solves[0] += 1
-        return solve_burst(*args, **kwargs)
+        return simulate(*args, **kwargs)
 
     def marked(jacobian):
         def wrapper(p):
@@ -509,7 +547,7 @@ def test_polish_starts_on_the_scan_solve(monkeypatch):
             jacobian = marked(jacobian)
         return minimize(model, jacobian, y, init, **kwargs)
 
-    monkeypatch.setattr(cqed, "_solve_burst", counted_solve)
+    monkeypatch.setattr(cqed, "simulate_maser", counted_solve)
     monkeypatch.setattr(fitting, "nlls_minimize", traced_minimize)
     fit_maser_parameters(trace, fixed, truth * np.array([1.3, 0.7, 1.3]))
     assert marks[0] >= len(fitting.KS_SCAN_FACTORS)    # the scan solved before the polish
@@ -520,19 +558,30 @@ def test_polish_starts_on_the_scan_solve(monkeypatch):
                          ids=lambda s: "ks{}-n{}".format(*s))
 def test_no_parameter_point_is_solved_twice_in_a_fit(monkeypatch, start):
     # The four (kappa_s, N) start classes of acceptance 08; (0.7, 0.7) runs
-    # stage 4, which starts on the scan's solve as the polish does.
+    # stage 4, which starts on the scan's solve and its Jacobian as the
+    # polish does.  Nor is a point's sensitivity pass made twice.
     trace, fixed, truth = noiseless_burst()
-    solved = []
-    solve_burst = cqed._solve_burst
+    solved, passes = [], []
+    simulate = cqed.simulate_maser
+    sensitivity = cqed._log_photon_sensitivity
 
-    def counted_solve(params, init, t_eval):
-        solved.append((params.g_e, params.kappa_s, params.n_spins))
-        return solve_burst(params, init, t_eval)
+    def point(params):
+        return params.g_e, params.kappa_s, params.n_spins
 
-    monkeypatch.setattr(cqed, "_solve_burst", counted_solve)
+    def counted_solve(params, init, t_span, **kwargs):
+        solved.append(point(params))
+        return simulate(params, init, t_span, **kwargs)
+
+    def counted_sensitivity(traj):
+        passes.append(point(traj.params))
+        return sensitivity(traj)
+
+    monkeypatch.setattr(cqed, "simulate_maser", counted_solve)
+    monkeypatch.setattr(cqed, "_log_photon_sensitivity", counted_sensitivity)
     fit_maser_parameters(trace, fixed, truth * np.array([0.7, *start]))
-    repeated = {p: n for p, n in collections.Counter(solved).items() if n > 1}
-    assert not repeated, f"{len(solved)} solves, repeated: {repeated}"
+    for name, made in (("solves", solved), ("sensitivity passes", passes)):
+        repeated = {p: n for p, n in collections.Counter(made).items() if n > 1}
+        assert not repeated, f"{len(made)} {name}, repeated: {repeated}"
 
 
 def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
