@@ -23,44 +23,53 @@ and adaptive error control misbehaves on such a spread.
 
 There is one integrator, _integrate_rk45: the adaptive embedded
 Runge-Kutta 5(4) pair of Dormand and Prince with Shampine's quartic
-dense output.  It runs scipy RK45's method in-house on Python floats:
-the same tableau, initial-step rule, error norm, step-size controller
-and minimum step, so it takes the steps and right-hand-side evaluations
-that solve_ivp(method="RK45") takes, without scipy's per-step array
-overhead, which outweighed the five-state right-hand side.  The stages
-are unrolled over the five state components as scalar locals, and
-stages k2..k7 evaluate the right-hand side inline instead of calling
-_scaled_rhs, with the float operations of a generic loop over the
-components that calls _scaled_rhs, in the same order; so the steps are
-bit-identical to that loop's.  The method must stay because the maser
-fit's success depends on its truncation error: with DOP853 in its
-place, fits started from (kappa_s, N) = 0.7 x truth end 2-4% off while
+dense output.  It runs scipy RK45's method in-house: the same tableau,
+initial-step rule, error norm, step-size controller and minimum step, so
+it takes the steps and right-hand-side evaluations that
+solve_ivp(method="RK45") takes, without scipy's per-step array overhead,
+which outweighed the five-state right-hand side.  The first stage and
+the initial step are computed in Python by _scaled_rhs and
+_initial_step; the step loop runs as a small C kernel, _rk45.c, loaded
+with ctypes.  The kernel makes the float operations of a Python loop
+over the components that calls _scaled_rhs at every stage, in the same
+order, and is compiled without contraction into fused multiply-adds,
+so its steps are bit-identical to that loop's.  It is built with the
+interpreter's C compiler on the first solve and cached beside the
+package's bytecode (_KERNEL_CACHE), under a name that hashes the source
+and the compile command.  The method must stay because the maser fit's
+success depends on its truncation error: with DOP853 in its place,
+fits started from (kappa_s, N) = 0.7 x truth end 2-4% off while
 reporting convergence.
 
 The integrator keeps every accepted step as native doubles in a
-bytearray that numpy reads in place, one struct pack per step (extending
-an array("d") converts the floats one at a time and was a quarter of the
-solve's time).  simulate_maser is the one way a burst is solved: it
-samples the solve on an output grid and returns the record with the
-trajectory.  The maser fit solves through it and takes the derivatives
-of log10 n with respect to log10 (g_e, kappa_s, N) from a trajectory's
-record with _log_photon_sensitivity: a vectorised numpy pass that
-differentiates the Runge-Kutta steps themselves with the step sizes
-held fixed (forward sensitivities with error control on the state only,
-as in CVODES with errconS off; Hindmarsh et al., ACM TOMS 31, 363
+bytearray that numpy reads in place.  simulate_maser is the one way a
+burst is solved: it samples the solve on an output grid and returns the
+record with the trajectory.  The maser fit solves through it and takes
+the derivatives of log10 n with respect to log10 (g_e, kappa_s, N) from
+a trajectory's record with _log_photon_sensitivity: a vectorised numpy
+pass that differentiates the Runge-Kutta steps themselves with the step
+sizes held fixed (forward sensitivities with error control on the state
+only, as in CVODES with errconS off; Hindmarsh et al., ACM TOMS 31, 363
 (2005)).  So the Jacobian is exact for the discretization the residual
 uses, and it costs no second integration.
 """
 
+import ctypes
+import functools
+import importlib.util
 import math
-import struct
-from bisect import bisect_right
+import os
+import shlex
+import sysconfig
+import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrationFailureError, InvalidInputError, NoOscillationError
+from .errors import (
+    IntegrationFailureError, InvalidInputError, KernelBuildError, NoOscillationError)
 from .relations import cooperativity, predicted_rabi  # noqa: F401  (re-exported)
 from .trace import TimeTrace
 from .units import angular_to_ordinary, is_finite_real
@@ -157,7 +166,7 @@ def _rhs_coefficients(p):
     return c._make(float(v) for v in c)
 
 
-# The reference right-hand side: _integrate_rk45 inlines it term by term.
+# The reference right-hand side; the kernel in _rk45.c evaluates it term by term.
 def _scaled_rhs(t, y, c):
     # State scaled by N: y = (n/N, Re c/N, Im c/N, sz, ss/N); c from _rhs_coefficients.
     n, cr, ci, sz, ss = y
@@ -202,12 +211,75 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
 # One step record: t_old, t_new, y_old (5) and the stages k1..k7 (35).
 _RECORD = 42
-# Packs one step record as native doubles, the bytes of a float64 array.
-_PACK_RECORD = struct.Struct(f"{_RECORD}d").pack
+_RECORD_BYTES = 8 * _RECORD
+# Rows the record grows by when the kernel fills it, or an eighth if that is more.
+_GROW_ROWS = 256
+
+# The step-loop kernel: its C source, the compile flags (no contraction of
+# a * b + c into a fused multiply-add, which would change the last bit, and
+# no -ffast-math or -march=native), and the directory of built kernels.
+_KERNEL_SOURCE = Path(__file__).with_name("_rk45.c")
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_KERNEL_CACHE = Path(__file__).with_name("__pycache__")
+# rk45_run's return codes other than 0, t1 reached
+_FULL, _STEP_TOO_SMALL, _OUT_OF_BUDGET = 1, 2, 3
+
+
+def _compile_command():
+    """The interpreter's C compiler with the kernel's flags, as an argument list."""
+    return [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_KERNEL_FLAGS]
+
+
+def _build_kernel(command, path):
+    """Compile _KERNEL_SOURCE with command into path, atomically."""
+    import subprocess    # only a cold cache compiles
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        done = subprocess.run([*command, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise KernelBuildError(
+                f"compiling the RK45 kernel failed ({shlex.join(command)}): "
+                f"{done.stderr.strip()[-500:]}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def _rk45_kernel():
+    """rk45_run of _rk45.c, built into _KERNEL_CACHE on first use.
+
+    A built kernel is named after a hash of the source, the compile
+    command and the platform, so any process that compiles the same way
+    loads it without calling the compiler.  Raises KernelBuildError when
+    the compiler is missing or fails, or the kernel cannot be written or
+    loaded.
+    """
+    command = _compile_command()
+    key = importlib.util.source_hash(b"\0".join(
+        [_KERNEL_SOURCE.read_bytes(), *map(str.encode, command),
+         sysconfig.get_platform().encode()])).hex()
+    path = _KERNEL_CACHE / f"_rk45-{key}.so"
+    try:
+        if not path.exists():
+            _build_kernel(command, path)
+        run = ctypes.CDLL(str(path)).rk45_run
+    except OSError as exc:
+        raise KernelBuildError(f"cannot build or load the RK45 kernel {path}: {exc}") from None
+    double_p, long_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_long)
+    run.argtypes = (double_p, ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_long,
+                    double_p, long_p, double_p, ctypes.c_long, long_p)
+    run.restype = ctypes.c_int
+    return run
 
 
 def _rms(x):
-    # Summed left to right, as the integrator's inlined norm is; sum() of
+    # Summed left to right, as the kernel's error norm is; sum() of
     # floats is compensated from Python 3.12.  Squares by multiplication: an
     # overflow gives inf, as in numpy, not an exception.
     total = 0.0
@@ -216,10 +288,12 @@ def _rms(x):
     return math.sqrt(total) / math.sqrt(len(x))
 
 
-def _stalled(t_out, t, t0, message):
-    # the last output time at or before t, the time the solve reached
-    done = bisect_right(t_out, t)
-    last = t_out[done - 1] if done else t0
+def _stalled(t_eval, record, t0, message):
+    # the last output time at or before the time the solve reached: the
+    # end of the last recorded step, or t0
+    t = np.frombuffer(record)[1 - _RECORD] if record else t0
+    done = int(np.searchsorted(t_eval, t, side="right"))
+    last = float(t_eval[done - 1]) if done else t0
     return IntegrationFailureError(
         f"integration stalled at t = {last:.6e} s: {message}", last_time=last)
 
@@ -254,181 +328,57 @@ def _dense_output(record, t_eval):
 
 
 def _integrate_rk45(c, t0, t1, y0, t_eval, rtol, atol):
-    """Integrate y' = _scaled_rhs(t, y, c) from t0 to t1 on Python floats.
+    """Integrate y' = _scaled_rhs(t, y, c) from t0 to t1.
 
     The method, error norm, step-size controller, minimum step and dense
     output are those of scipy's solve_ivp(method="RK45") with max_step
-    unbounded, so the two take the same steps.  The stages are unrolled
-    over the five state components, each the generic per-component
-    expression with the same operations in the same order, and stages
-    k2..k7 evaluate the right-hand side inline, term by term as
-    _scaled_rhs does; only the first stage and _initial_step call it.  So
-    the record is bit-identical to that of a generic loop over the
-    components calling _scaled_rhs; the error norm is _rms written out,
-    summed left to right as _rms sums.  Returns the record of every
+    unbounded, so the two take the same steps.  The first stage and
+    _initial_step run in Python; the steps run in the C kernel of
+    _rk45_kernel, which makes the float operations of a generic loop over
+    the components calling _scaled_rhs, in the same order, so its record
+    is bit-identical to that loop's.  Returns the record of every
     accepted step, a bytearray of _RECORD native doubles per step (the
     bytes of a float64 array), which _dense_output turns into the states
     at t_eval and _log_photon_sensitivity into their derivatives, and the
     number of right-hand-side evaluations, 2 + 6 per step attempt, as
-    scipy counts them.  A step is appended by one precompiled struct pack:
-    array("d").extend converts its floats one at a time through the
-    array's generic item setter.
+    scipy counts them.  Whenever the kernel fills the record, the record
+    grows by _GROW_ROWS rows or an eighth, and the kernel resumes.
 
     Raises IntegrationFailureError, carrying the last output time reached,
-    when the step size falls below ten float spacings of t, the arithmetic
-    fails (overflow, division by zero) or MAX_STEPS step attempts do not
-    reach t1.
+    when the step size falls below ten float spacings of t, the first
+    stage or the initial step fails arithmetically (overflow, division by
+    zero) or MAX_STEPS step attempts do not reach t1; KernelBuildError
+    when the kernel cannot be built.
     """
-    t_out = t_eval.tolist()
     record = bytearray()
-    pack = _PACK_RECORD
-    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
-    root5 = math.sqrt(5)
-    attempts = 0
-    t = t0
-    # Negation is exact, so -x * y below rounds as (-x) * y in _scaled_rhs.
-    kappa_c, feed, half_width, delta, g_e, two_g, four_g, gamma, n_spins, pair_weight, \
-        pair_decay = c
-    neg_kappa_c, neg_half_width, neg_gamma, neg_pair_decay = (
-        -kappa_c, -half_width, -gamma, -pair_decay)
-    A21, A31, A32, A41, A42, A43 = _A21, _A31, _A32, _A41, _A42, _A43
-    A51, A52, A53, A54 = _A51, _A52, _A53, _A54
-    A61, A62, A63, A64, A65 = _A61, _A62, _A63, _A64, _A65
-    B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
-    E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
-    safety, min_factor, max_factor, exponent = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT
-    # Components of y are a0..a4, of y_new b0..b4, their magnitudes aa0..aa4 and
-    # bb0..bb4, of k1..k7 p, q, r, s, u, v, w; n, cr, ci, sz, ss is the state at
-    # which a stage evaluates the right-hand side.
-    a0, a1, a2, a3, a4 = y0
-    aa0, aa1, aa2, aa3, aa4 = abs(a0), abs(a1), abs(a2), abs(a3), abs(a4)
     try:
-        f = _scaled_rhs(t, y0, c)
+        f = _scaled_rhs(t0, y0, c)
         h_abs = _initial_step(_scaled_rhs, c, t0, t1, y0, f, rtol, atol)
-        p0, p1, p2, p3, p4 = f
-        # min() and max() are written out as the comparisons they make, so
-        # NaN takes the same branch
-        while t < t1:
-            min_step = 10.0 * (nextafter(t, inf) - t)
-            if min_step > h_abs:
-                h_abs = min_step
-            rejected = False
-            while True:
-                if not h_abs >= min_step:
-                    raise _stalled(t_out, t, t0, "Required step size is less than "
-                                   "spacing between numbers.")
-                attempts += 1
-                if attempts > MAX_STEPS:
-                    raise _stalled(t_out, t, t0, f"{MAX_STEPS} step attempts did not reach the "
-                                   "end of the span")
-                t_new = t + h_abs
-                if t1 < t_new:
-                    t_new = t1
-                h = t_new - t
-                n = a0 + (A21 * p0) * h
-                cr = a1 + (A21 * p1) * h
-                ci = a2 + (A21 * p2) * h
-                sz = a3 + (A21 * p3) * h
-                ss = a4 + (A21 * p4) * h
-                q0 = neg_kappa_c * n + feed - two_g * ci
-                q1 = neg_half_width * cr + delta * ci
-                q2 = (neg_half_width * ci - delta * cr
-                      - g_e * (0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz))
-                q3 = neg_gamma * sz + four_g * ci
-                q4 = neg_pair_decay * ss - two_g * sz * ci
-                n = a0 + (A31 * p0 + A32 * q0) * h
-                cr = a1 + (A31 * p1 + A32 * q1) * h
-                ci = a2 + (A31 * p2 + A32 * q2) * h
-                sz = a3 + (A31 * p3 + A32 * q3) * h
-                ss = a4 + (A31 * p4 + A32 * q4) * h
-                r0 = neg_kappa_c * n + feed - two_g * ci
-                r1 = neg_half_width * cr + delta * ci
-                r2 = (neg_half_width * ci - delta * cr
-                      - g_e * (0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz))
-                r3 = neg_gamma * sz + four_g * ci
-                r4 = neg_pair_decay * ss - two_g * sz * ci
-                n = a0 + (A41 * p0 + A42 * q0 + A43 * r0) * h
-                cr = a1 + (A41 * p1 + A42 * q1 + A43 * r1) * h
-                ci = a2 + (A41 * p2 + A42 * q2 + A43 * r2) * h
-                sz = a3 + (A41 * p3 + A42 * q3 + A43 * r3) * h
-                ss = a4 + (A41 * p4 + A42 * q4 + A43 * r4) * h
-                s0 = neg_kappa_c * n + feed - two_g * ci
-                s1 = neg_half_width * cr + delta * ci
-                s2 = (neg_half_width * ci - delta * cr
-                      - g_e * (0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz))
-                s3 = neg_gamma * sz + four_g * ci
-                s4 = neg_pair_decay * ss - two_g * sz * ci
-                n = a0 + (A51 * p0 + A52 * q0 + A53 * r0 + A54 * s0) * h
-                cr = a1 + (A51 * p1 + A52 * q1 + A53 * r1 + A54 * s1) * h
-                ci = a2 + (A51 * p2 + A52 * q2 + A53 * r2 + A54 * s2) * h
-                sz = a3 + (A51 * p3 + A52 * q3 + A53 * r3 + A54 * s3) * h
-                ss = a4 + (A51 * p4 + A52 * q4 + A53 * r4 + A54 * s4) * h
-                u0 = neg_kappa_c * n + feed - two_g * ci
-                u1 = neg_half_width * cr + delta * ci
-                u2 = (neg_half_width * ci - delta * cr
-                      - g_e * (0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz))
-                u3 = neg_gamma * sz + four_g * ci
-                u4 = neg_pair_decay * ss - two_g * sz * ci
-                n = a0 + (A61 * p0 + A62 * q0 + A63 * r0 + A64 * s0 + A65 * u0) * h
-                cr = a1 + (A61 * p1 + A62 * q1 + A63 * r1 + A64 * s1 + A65 * u1) * h
-                ci = a2 + (A61 * p2 + A62 * q2 + A63 * r2 + A64 * s2 + A65 * u2) * h
-                sz = a3 + (A61 * p3 + A62 * q3 + A63 * r3 + A64 * s3 + A65 * u3) * h
-                ss = a4 + (A61 * p4 + A62 * q4 + A63 * r4 + A64 * s4 + A65 * u4) * h
-                v0 = neg_kappa_c * n + feed - two_g * ci
-                v1 = neg_half_width * cr + delta * ci
-                v2 = (neg_half_width * ci - delta * cr
-                      - g_e * (0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz))
-                v3 = neg_gamma * sz + four_g * ci
-                v4 = neg_pair_decay * ss - two_g * sz * ci
-                b0 = a0 + h * (B1 * p0 + B3 * r0 + B4 * s0 + B5 * u0 + B6 * v0)
-                b1 = a1 + h * (B1 * p1 + B3 * r1 + B4 * s1 + B5 * u1 + B6 * v1)
-                b2 = a2 + h * (B1 * p2 + B3 * r2 + B4 * s2 + B5 * u2 + B6 * v2)
-                b3 = a3 + h * (B1 * p3 + B3 * r3 + B4 * s3 + B5 * u3 + B6 * v3)
-                b4 = a4 + h * (B1 * p4 + B3 * r4 + B4 * s4 + B5 * u4 + B6 * v4)
-                w0 = neg_kappa_c * b0 + feed - two_g * b2
-                w1 = neg_half_width * b1 + delta * b2
-                w2 = (neg_half_width * b2 - delta * b1
-                      - g_e * (0.5 * (b3 + 1.0) / n_spins + pair_weight * b4 + b0 * b3))
-                w3 = neg_gamma * b3 + four_g * b2
-                w4 = neg_pair_decay * b4 - two_g * b3 * b2
-                # _rms of the scaled errors, atol + max(|a|, |b|) rtol, with the
-                # choice max() makes, NaN included
-                bb0, bb1, bb2, bb3, bb4 = abs(b0), abs(b1), abs(b2), abs(b3), abs(b4)
-                x0 = ((E1 * p0 + E3 * r0 + E4 * s0 + E5 * u0 + E6 * v0 + E7 * w0) * h
-                      / (atol + (bb0 if bb0 > aa0 else aa0) * rtol))
-                x1 = ((E1 * p1 + E3 * r1 + E4 * s1 + E5 * u1 + E6 * v1 + E7 * w1) * h
-                      / (atol + (bb1 if bb1 > aa1 else aa1) * rtol))
-                x2 = ((E1 * p2 + E3 * r2 + E4 * s2 + E5 * u2 + E6 * v2 + E7 * w2) * h
-                      / (atol + (bb2 if bb2 > aa2 else aa2) * rtol))
-                x3 = ((E1 * p3 + E3 * r3 + E4 * s3 + E5 * u3 + E6 * v3 + E7 * w3) * h
-                      / (atol + (bb3 if bb3 > aa3 else aa3) * rtol))
-                x4 = ((E1 * p4 + E3 * r4 + E4 * s4 + E5 * u4 + E6 * v4 + E7 * w4) * h
-                      / (atol + (bb4 if bb4 > aa4 else aa4) * rtol))
-                error_norm = sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4) / root5
-                if error_norm < 1:
-                    if error_norm == 0:
-                        factor = max_factor
-                    else:
-                        factor = safety * error_norm ** exponent
-                        if not factor < max_factor:
-                            factor = max_factor
-                    if rejected and not factor < 1:
-                        factor = 1
-                    h_abs = h * factor
-                    break
-                factor = safety * error_norm ** exponent
-                h_abs = h * (factor if factor > min_factor else min_factor)
-                rejected = True
-            record += pack(t, t_new, a0, a1, a2, a3, a4, p0, p1, p2, p3, p4,
-                           q0, q1, q2, q3, q4, r0, r1, r2, r3, r4, s0, s1, s2, s3, s4,
-                           u0, u1, u2, u3, u4, v0, v1, v2, v3, v4, w0, w1, w2, w3, w4)
-            t = t_new
-            a0, a1, a2, a3, a4 = b0, b1, b2, b3, b4
-            aa0, aa1, aa2, aa3, aa4 = bb0, bb1, bb2, bb3, bb4
-            p0, p1, p2, p3, p4 = w0, w1, w2, w3, w4
     except ArithmeticError as exc:
-        raise _stalled(t_out, t, t0, f"arithmetic failure ({exc})") from None
-    return record, 2 + 6 * attempts
+        raise _stalled(t_eval, record, t0, f"arithmetic failure ({exc})") from None
+    run = _rk45_kernel()
+    budget = MAX_STEPS
+    coeffs = (ctypes.c_double * len(c))(*c)
+    state = (ctypes.c_double * 12)(t0, *y0, *f, h_abs)    # as rk45_run reads and writes it
+    attempts, written = ctypes.c_long(0), ctypes.c_long(0)
+    rows = 0
+    status = _FULL
+    while status == _FULL:
+        room = max(_GROW_ROWS, rows // 8)
+        record += bytes(room * _RECORD_BYTES)
+        free = (ctypes.c_double * (room * _RECORD)).from_buffer(record, rows * _RECORD_BYTES)
+        status = run(coeffs, t1, rtol, atol, budget, state, ctypes.byref(attempts), free, room,
+                     ctypes.byref(written))
+        del free    # releases the bytearray for the next resize
+        rows += written.value
+    del record[rows * _RECORD_BYTES:]
+    if status == _STEP_TOO_SMALL:
+        raise _stalled(t_eval, record, t0,
+                       "Required step size is less than spacing between numbers.")
+    if status == _OUT_OF_BUDGET:
+        raise _stalled(t_eval, record, t0,
+                       f"{budget} step attempts did not reach the end of the span")
+    return record, 2 + 6 * attempts.value
 
 
 # The stage tableau as one table: row i builds the state of stage i + 1
@@ -562,10 +512,13 @@ class MaserTrajectory:
     """Simulated expectation values on an output grid (physical units).
 
     _record, left out of repr and comparison, is the solve's record of
-    every accepted step, which _log_photon_sensitivity differentiates to
-    give the maser fit its Jacobian without a second solve.  It outweighs
-    the arrays: 433 KB for the 1,288 steps of the canonical 15 us burst
+    every accepted step as the C kernel wrote it, _RECORD doubles per
+    step, which _log_photon_sensitivity differentiates to give the maser
+    fit its Jacobian without a second solve.  It outweighs the arrays:
+    433 KB for the 1,288 steps of the canonical 15 us burst
     (synthetic.BURST_DEFAULTS), against 96 KB of arrays at 2,000 points.
+    The bytearray keeps the allocation the kernel filled, at most
+    _GROW_ROWS rows or an eighth more than the steps it holds.
     """
 
     t: np.ndarray

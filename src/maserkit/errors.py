@@ -3,7 +3,8 @@
 Two broad families matter for the CLI exit codes: user-facing input
 problems (bad arguments, malformed files, unit mismatches) and numerical
 failures (integrator blow-up, fits that never converge, spectra without
-an oscillation peak).
+an oscillation peak).  A third error belongs to neither: the C compiler
+the burst integrator needs is missing or fails.
 """
 
 
@@ -25,6 +26,10 @@ class UnitMismatchError(UserInputError):
 
 class InvalidGeometryError(UserInputError):
     """Q-circle geometry that cannot yield a coupling coefficient."""
+
+
+class KernelBuildError(MaserkitError):
+    """The compiled step loop of the burst integrator cannot be built or loaded."""
 
 
 class NumericalError(MaserkitError):

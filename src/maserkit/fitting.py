@@ -126,6 +126,8 @@ def nlls_minimize(model, jacobian, y, init, max_iterations=MAX_ITERATIONS, max_s
         """Move to p + step if that lowers the cost; True when the step is taken."""
         nonlocal p, r, cost, converged
         p_trial = p + step
+        if p_trial.tobytes() == p.tobytes():
+            return False    # the step is below the float spacing of p: the cost cannot fall
         r_trial = resid(p_trial)
         cost_trial = float(r_trial @ r_trial)
         if not cost_trial < cost:

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import maserkit
-from maserkit import cli, cqed
+from maserkit import cli, cqed, fitting
 from maserkit.cqed import (
     _rhs_coefficients,
     _scaled_rhs,
@@ -30,7 +30,10 @@ from maserkit.cqed import (
 from maserkit.errors import (
     IntegrationFailureError,
     InvalidInputError,
+    KernelBuildError,
+    MaserkitError,
     NoOscillationError,
+    NumericalError,
     UnitMismatchError,
 )
 from maserkit.spectro import write_matrix_csv
@@ -231,22 +234,98 @@ def test_arithmetic_failure_is_an_integration_failure(overrides):
 def test_stop_in_mid_span_carries_the_last_output_time_reached(monkeypatch):
     # The step budget runs out partway through the canonical burst; the
     # failure names the last output point at or before the time the solve
-    # reached, which is the end of the last step it recorded.
-    reached = []
-    pack = cqed._PACK_RECORD
+    # reached, which is the end of the last step the kernel recorded.
+    records = []
+    stalled = cqed._stalled
 
-    def traced_pack(*step):
-        reached.append(step[1])
-        return pack(*step)
+    def traced_stalled(t_eval, record, t0, message):
+        records.append(bytes(record))
+        return stalled(t_eval, record, t0, message)
 
-    monkeypatch.setattr(cqed, "_PACK_RECORD", traced_pack)
+    monkeypatch.setattr(cqed, "_stalled", traced_stalled)
     monkeypatch.setattr(cqed, "MAX_STEPS", 300)
     t_eval = np.linspace(0.0, 1.5e-5, 600)
-    with pytest.raises(IntegrationFailureError, match="step attempts") as info:
+    with pytest.raises(IntegrationFailureError, match="300 step attempts") as info:
         simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5), t_eval=t_eval)
+    reached = np.frombuffer(records[-1]).reshape(-1, cqed._RECORD)[:, 1]
     assert 0.0 < reached[-1] < t_eval[-1]
     assert info.value.last_time > 0.0
     assert info.value.last_time == t_eval[t_eval <= reached[-1]][-1]
+
+
+@pytest.fixture
+def empty_kernel_cache(monkeypatch, tmp_path):
+    """An empty kernel cache under tmp_path, with no kernel loaded before or after."""
+    cache = tmp_path / "kernels"
+    monkeypatch.setattr(cqed, "_KERNEL_CACHE", cache)
+    cqed._rk45_kernel.cache_clear()
+    yield cache
+    cqed._rk45_kernel.cache_clear()
+
+
+def test_an_empty_kernel_cache_builds_the_kernel_once(monkeypatch, empty_kernel_cache):
+    builds = []
+    build = cqed._build_kernel
+
+    def counted(command, path):
+        builds.append(path)
+        build(command, path)
+
+    monkeypatch.setattr(cqed, "_build_kernel", counted)
+    first = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 2e-6), n_points=50)
+    cqed._rk45_kernel.cache_clear()    # as a new process would: load from the cache
+    again = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 2e-6), n_points=50)
+    assert len(builds) == 1
+    assert [p.name for p in empty_kernel_cache.iterdir()] == [builds[0].name]
+    assert bytes(first._record) == bytes(again._record)
+
+
+def test_a_second_process_loads_the_kernel_without_the_compiler(empty_kernel_cache):
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from maserkit import cqed\n"
+        "cqed._KERNEL_CACHE = Path(sys.argv[1])\n"
+        "def no_compiler(command, path):\n"
+        "    raise AssertionError('the compiler was called')\n"
+        "cqed._build_kernel = no_compiler\n"
+        "p = cqed.MaserSystemParams(g_e=1.4e7, kappa_c=2.5e6, kappa_s=1.8e6, gamma=2e5,\n"
+        "                           delta=0.0, n_spins=9.7e14, n_bar=4097.0)\n"
+        "s = cqed.MaserState(photon_number=4097.0, coherence=0.0, inversion=0.52,\n"
+        "                    spin_correlation=0.0)\n"
+        "print(len(cqed.simulate_maser(p, s, (0.0, 2e-6), n_points=50).t))\n")
+    src = str(Path(maserkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    cqed._rk45_kernel()    # builds into the empty cache
+    done = subprocess.run([sys.executable, "-c", script, str(empty_kernel_cache)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["50"]
+
+
+@pytest.mark.parametrize("command, message", [
+    ([sys.executable, "-c", "import sys; sys.exit('cc: cannot compile')"], "cannot compile"),
+    (["/nonexistent/cc"], "No such file"),
+], ids=["compiler-fails", "no-compiler"])
+def test_a_failed_kernel_build_is_an_error_not_a_numerical_failure(
+        monkeypatch, empty_kernel_cache, tmp_path, capsys, command, message):
+    monkeypatch.setattr(cqed, "_compile_command", lambda: command)
+    with pytest.raises(KernelBuildError, match=message) as info:
+        simulate_maser(REF_PARAMS, REF_INIT, (0.0, 2e-6), n_points=50)
+    assert isinstance(info.value, MaserkitError)
+    assert not isinstance(info.value, NumericalError)
+    assert list(empty_kernel_cache.iterdir()) == []    # no kernel and no temp file left
+    # the maser fit does not take it for a failed solve, and the CLI says error:
+    model = fitting._BurstModel({"kappa_c": 2.517e6, "gamma": 0.2e6, "n_bar": 4097.0,
+                                 "inversion0": 0.52}, np.linspace(0.0, 2e-6, 50))
+    with pytest.raises(KernelBuildError):
+        model.log_photons(np.log10([REF_PARAMS.g_e, REF_PARAMS.kappa_s, REF_PARAMS.n_spins]))
+    out = tmp_path / "out"
+    assert cli.main(["simulate-maser", "--t-max-us", "2", "--points", "50",
+                     "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -95,6 +95,24 @@ def test_iteration_cap_at_the_optimum_is_converged():
     np.testing.assert_allclose(res.params, np.polyfit(t, y, 1)[::-1], rtol=1e-6)
 
 
+def test_a_trial_below_the_float_spacing_of_p_is_not_evaluated():
+    # The Jacobian points uphill, so every trial raises the cost and the
+    # damping grows until the trial step, 1e-8 / (1 + lambda / J^T J),
+    # falls below the float spacing of p = 1; such a trial p + step == p
+    # is rejected without solving p again.
+    x = np.linspace(1.0, 2.0, 20)
+    evaluated = []
+
+    def model(p):
+        evaluated.append(p.tobytes())
+        return p[0] * x
+
+    res = nlls_minimize(model, lambda p: -x[:, None], (1.0 - 1e-8) * x, np.array([1.0]))
+    assert res.iterations == 1 and not res.converged
+    assert res.params.tolist() == [1.0]
+    assert len(evaluated) == len(set(evaluated)) == 13
+
+
 # ---------------------------------------------------------------------------
 # biexponential
 
