@@ -1,10 +1,11 @@
 """Command-line front end.
 
 One subcommand per analysis or simulation operation.  Every run writes
-a JSON result document embedding a RunManifest (validated against the
-shipped schema); trace outputs are plot-ready CSV.  Exit codes: 0 on
-success, 1 on user error (arguments, files, units), 2 on numerical
-failure (integration, non-convergence, missing oscillation).
+a JSON result document (strict JSON: a non-finite number is null)
+embedding a RunManifest, which main alone builds from the parsed
+arguments; trace outputs are plot-ready CSV.  Exit codes: 0 on success,
+1 on user error (arguments, files, units), 2 on numerical failure
+(integration, non-convergence, missing oscillation).
 
 numpy and the array modules are imported inside the handlers that use
 them, so the calculator commands (thermal-photons, cooperativity,
@@ -19,7 +20,6 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass
-from importlib import resources
 
 from . import __version__, relations, units
 from .errors import MaserkitError, NumericalError, UserInputError
@@ -54,87 +54,22 @@ class _CliParser(argparse.ArgumentParser):
         raise UserInputError(message)
 
 
-def _load_schema():
-    ref = resources.files("maserkit").joinpath("schemas/result.schema.json")
-    return json.loads(ref.read_text())
-
-
-_SCHEMA = None
-
-# the JSON Schema types the result schema names, read as jsonschema reads
-# them under draft 2020-12: a bool is not an integer, an integral float is
-_JSON_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "null": lambda v: v is None,
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                          or isinstance(v, float) and v.is_integer()),
-}
-_ANNOTATIONS = {"$schema", "$id", "title"}
-_KEYWORDS = {"type", "required", "properties", "additionalProperties", "items", "minLength"}
-
-
-def _check_keywords(schema, path):
-    unsupported = set(schema) - _ANNOTATIONS - _KEYWORDS
-    types = schema.get("type", [])
-    unsupported |= set([types] if isinstance(types, str) else types) - set(_JSON_TYPES)
-    if schema.get("additionalProperties", False) is not False:
-        unsupported.add("additionalProperties other than false")
-    if unsupported:
-        raise ValueError(f"schema at {path}: unsupported {sorted(unsupported)}")
-    for key, sub in schema.get("properties", {}).items():
-        _check_keywords(sub, f"{path}.{key}")
-    if "items" in schema:
-        _check_keywords(schema["items"], f"{path}[]")
-
-
-def _check_instance(value, schema, path):
-    types = schema.get("type")
-    if types is not None:
-        names = [types] if isinstance(types, str) else types
-        if not any(_JSON_TYPES[name](value) for name in names):
-            raise ValueError(f"{path}: expected {' or '.join(names)}, "
-                             f"got {type(value).__name__}")
-    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
-        raise ValueError(f"{path}: shorter than {schema['minLength']} characters")
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            _check_instance(item, schema["items"], f"{path}[{i}]")
+def _finite_or_null(value):
+    """value with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        properties = schema.get("properties", {})
-        missing = [key for key in schema.get("required", ()) if key not in value]
-        if missing:
-            raise ValueError(f"{path}: missing keys {missing}")
-        extra = [key for key in value if key not in properties]
-        if extra and "additionalProperties" in schema:
-            raise ValueError(f"{path}: unexpected keys {extra}")
-        for key, sub in properties.items():
-            if key in value:
-                _check_instance(value[key], sub, f"{path}.{key}")
-
-
-def check_document(document, schema):
-    """Raise ValueError naming the JSON path where document breaks schema.
-
-    Implements the JSON Schema keywords the shipped result schema uses:
-    type, required, properties, additionalProperties (false only), items
-    and minLength; $schema, $id and title are annotations.  Any other
-    keyword raises, so that a schema edit cannot go unchecked.
-    """
-    _check_keywords(schema, "$")
-    _check_instance(document, schema, "$")
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def write_result_json(path, manifest, results):
-    """Emit {manifest, results}, checked against the shipped schema."""
-    global _SCHEMA
-    if _SCHEMA is None:
-        _SCHEMA = _load_schema()
-    document = {"manifest": asdict(manifest), "results": results}
-    check_document(document, _SCHEMA)
+    """Emit {manifest, results} as strict JSON: NaN and +-inf are written as null."""
+    document = {"manifest": asdict(manifest), "results": _finite_or_null(results)}
     with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
+        json.dump(document, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -198,7 +133,7 @@ def _require_keys(params, keys, where):
 # subcommand handlers: each returns (results dict, headline string or None)
 
 
-def _cmd_simulate_triplet(args, manifest):
+def _cmd_simulate_triplet(args):
     import numpy as np
     from . import triplet
     from .trace import write_columns
@@ -231,7 +166,7 @@ def _cmd_simulate_triplet(args, manifest):
     return results, f"wrote {csv_path}"
 
 
-def _cmd_fit_trepr(args, manifest):
+def _cmd_fit_trepr(args):
     from . import fitting, triplet
     from .trace import read_trace_csv
 
@@ -253,7 +188,7 @@ def _cmd_fit_trepr(args, manifest):
     return results, head
 
 
-def _cmd_qcircle(args, manifest):
+def _cmd_qcircle(args):
     results = {}
     if args.s11:
         from .cavity import fit_reflection_circle
@@ -266,7 +201,6 @@ def _cmd_qcircle(args, manifest):
         d = diameter
         results["circle_center"] = list(center)
         results["circle_radius"] = radius
-        manifest.inputs.append(args.s11)
     elif args.d is not None:
         d = args.d
     else:
@@ -289,12 +223,12 @@ def _cmd_qcircle(args, manifest):
     return results, headline
 
 
-def _cmd_thermal_photons(args, manifest):
+def _cmd_thermal_photons(args):
     n_bar = relations.thermal_photons(args.f, args.temp)
     return {"f_hz": args.f, "temperature_k": args.temp, "n_bar": n_bar}, f"{n_bar:.6g}"
 
 
-def _cmd_convert_power(args, manifest):
+def _cmd_convert_power(args):
     import numpy as np
     from . import cavity
     from .trace import read_trace_csv, write_trace_csv
@@ -348,7 +282,7 @@ def _maser_params_from_args(args):
     return values
 
 
-def _cmd_simulate_maser(args, manifest):
+def _cmd_simulate_maser(args):
     import numpy as np
     from . import cqed
     from .trace import write_columns
@@ -396,7 +330,7 @@ def _cmd_simulate_maser(args, manifest):
     return results, f"wrote {csv_path}"
 
 
-def _cmd_fit_maser(args, manifest):
+def _cmd_fit_maser(args):
     from . import cavity, fitting, synthetic
     from .trace import read_trace_csv
 
@@ -436,7 +370,7 @@ def _cmd_fit_maser(args, manifest):
     return results, head
 
 
-def _cmd_cooperativity(args, manifest):
+def _cmd_cooperativity(args):
     if args.ge_hz is None or args.kappa_s_hz is None:
         raise UserInputError("cooperativity needs --ge-hz and --kappa-s-hz")
     g_e = _angular_rate(args.ge_hz, args.ge_angular)
@@ -450,7 +384,7 @@ def _cmd_cooperativity(args, manifest):
     return results, f"{c:.6g}"
 
 
-def _cmd_rabi(args, manifest):
+def _cmd_rabi(args):
     results = {}
     if args.trace:
         from . import cqed
@@ -479,7 +413,7 @@ def _cmd_rabi(args, manifest):
     return results, headline
 
 
-def _cmd_svd_tas(args, manifest):
+def _cmd_svd_tas(args):
     from . import spectro
     from .trace import write_columns
 
@@ -505,7 +439,7 @@ def _cmd_svd_tas(args, manifest):
     return results, head
 
 
-def _cmd_fit_tcspc(args, manifest):
+def _cmd_fit_tcspc(args):
     from . import spectro
     from .trace import read_trace_csv
 
@@ -522,7 +456,7 @@ def _cmd_fit_tcspc(args, manifest):
     return results, pairs
 
 
-def _cmd_quantum_yield(args, manifest):
+def _cmd_quantum_yield(args):
     rates = relations.rates_from_lifetimes(args.tau_f_ns, args.tau_isc_ns)
     results = {
         "kappa_f_per_ns": rates.kappa_f,
@@ -533,11 +467,10 @@ def _cmd_quantum_yield(args, manifest):
     return results, f"theta_T = {rates.theta_t:.4g}"
 
 
-def _cmd_gen_synthetic(args, manifest):
+def _cmd_gen_synthetic(args):
     from . import synthetic
     from .trace import write_trace_csv
 
-    manifest.seed = args.seed
     overrides = _load_json_file(args.params) if args.params else None
     prefix = args.prefix or args.kind.replace("-", "_")
     noise = args.noise
@@ -733,20 +666,17 @@ def main(argv=None):
 
     manifest = RunManifest(
         subcommand=args.subcommand,
-        inputs=[],
+        inputs=[getattr(args, attr) for attr in ("trace", "matrix", "s11")
+                if getattr(args, attr, None)],
         parameter_file=getattr(args, "params", None) or getattr(args, "fixed", None),
         output_dir=args.output_dir,
-        seed=None,
+        seed=getattr(args, "seed", None),
         version=__version__,
     )
-    for attr in ("trace", "matrix"):
-        value = getattr(args, attr, None)
-        if value:
-            manifest.inputs.append(value)
 
     try:
         os.makedirs(args.output_dir, exist_ok=True)
-        results, headline = args.handler(args, manifest)
+        results, headline = args.handler(args)
         json_path = os.path.join(args.output_dir, args.out or f"{args.subcommand}.json")
         write_result_json(json_path, manifest, results)
     except NumericalError as exc:

@@ -72,7 +72,7 @@ from .errors import (
     IntegrationFailureError, InvalidInputError, KernelBuildError, NoOscillationError)
 from .relations import cooperativity, predicted_rabi  # noqa: F401  (re-exported)
 from .trace import TimeTrace
-from .units import angular_to_ordinary, is_finite_real
+from .units import is_finite_real
 
 # Default tolerances on the N-scaled state.  The absolute floor sits
 # well below the scaled thermal occupancy nbar/N ~ 4e-12 so the
@@ -681,12 +681,6 @@ def extract_rabi_frequency(trace, burst_window=None):
     else:
         shift = 0.0
     return (k + shift) * df
-
-
-def rabi_discrepancy(trace, g_e, burst_window=None):
-    """Ratio of predicted to extracted Rabi frequency (> 1 means slower than predicted)."""
-    measured = extract_rabi_frequency(trace, burst_window)
-    return angular_to_ordinary(predicted_rabi(g_e)) / measured
 
 
 def count_oscillations(trace, burst_window=None, prominence=0.01):
