@@ -29,29 +29,29 @@ it takes the steps and right-hand-side evaluations that
 solve_ivp(method="RK45") takes, without scipy's per-step array overhead,
 which outweighed the five-state right-hand side.  The first stage and
 the initial step are computed in Python by _scaled_rhs and
-_initial_step; the step loop runs as a small C kernel, _rk45.c, loaded
-with ctypes.  The kernel makes the float operations of a Python loop
-over the components that calls _scaled_rhs at every stage, in the same
-order, and is compiled without contraction into fused multiply-adds,
-so its steps are bit-identical to that loop's.  It is built with the
-interpreter's C compiler on the first solve and cached beside the
-package's bytecode (_KERNEL_CACHE), under a name that hashes the source
-and the compile command.  The method must stay because the maser fit's
-success depends on its truncation error: with DOP853 in its place,
-fits started from (kappa_s, N) = 0.7 x truth end 2-4% off while
-reporting convergence.
+_initial_step; the step loop and the sensitivity pass below run in one
+small C kernel, _rk45.c, loaded with ctypes.  Its step loop makes the
+float operations of a Python loop over the components that calls
+_scaled_rhs at every stage, in the same order, and is compiled without
+contraction into fused multiply-adds, so its steps are bit-identical to
+that loop's.  It is built with the interpreter's C compiler on the
+first solve and cached beside the package's bytecode (_KERNEL_CACHE),
+under a name that hashes the source and the compile command.  The
+method must stay because the maser fit's success depends on its
+truncation error: with DOP853 in its place, fits started from
+(kappa_s, N) = 0.7 x truth end 2-4% off while reporting convergence.
 
 The integrator keeps every accepted step as native doubles in a
 bytearray that numpy reads in place.  simulate_maser is the one way a
 burst is solved: it samples the solve on an output grid and returns the
 record with the trajectory.  The maser fit solves through it and takes
 the derivatives of log10 n with respect to log10 (g_e, kappa_s, N) from
-a trajectory's record with _log_photon_sensitivity: a vectorised numpy
-pass that differentiates the Runge-Kutta steps themselves with the step
-sizes held fixed (forward sensitivities with error control on the state
-only, as in CVODES with errconS off; Hindmarsh et al., ACM TOMS 31, 363
-(2005)).  So the Jacobian is exact for the discretization the residual
-uses, and it costs no second integration.
+a trajectory's record with _log_photon_sensitivity, whose pass in the
+kernel differentiates the Runge-Kutta steps themselves with their sizes
+frozen (forward sensitivities with error control on the state only, as
+in CVODES with errconS off; Hindmarsh et al., ACM TOMS 31, 363 (2005);
+Bock's internal numerical differentiation, 1981).  So the Jacobian is
+exact for the discretization the residual uses, with no second solve.
 """
 
 import ctypes
@@ -182,19 +182,9 @@ def _scaled_rhs(t, y, c):
     )
 
 
-# Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) with
-# Shampine's quartic dense output (Math. Comp. 46, 135 (1986)), the
-# coefficients of scipy's RK45.  Zero entries are left out.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                                -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
-                                -22 / 525, 1 / 40)
+# Shampine's quartic dense output (Math. Comp. 46, 135 (1986)) of the
+# Dormand-Prince 5(4) pair, as scipy's RK45 has it: stage j weighs in with
+# _DENSE_P[j] . (x, x^2, x^3, x^4) at x = (t - t_old) / h.
 _DENSE_P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432],
@@ -207,8 +197,6 @@ _DENSE_P = np.array([
      701980252875 / 199316789632],
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / 5
 # One step record: t_old, t_new, y_old (5) and the stages k1..k7 (35).
 _RECORD = 42
 _RECORD_BYTES = 8 * _RECORD
@@ -252,7 +240,7 @@ def _build_kernel(command, path):
 
 @functools.cache
 def _rk45_kernel():
-    """rk45_run of _rk45.c, built into _KERNEL_CACHE on first use.
+    """rk45_run and rk45_sensitivity of _rk45.c, built into _KERNEL_CACHE on first use.
 
     A built kernel is named after a hash of the source, the compile
     command and the platform, so any process that compiles the same way
@@ -268,14 +256,18 @@ def _rk45_kernel():
     try:
         if not path.exists():
             _build_kernel(command, path)
-        run = ctypes.CDLL(str(path)).rk45_run
+        lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise KernelBuildError(f"cannot build or load the RK45 kernel {path}: {exc}") from None
     double_p, long_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_long)
-    run.argtypes = (double_p, ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_long,
-                    double_p, long_p, double_p, ctypes.c_long, long_p)
-    run.restype = ctypes.c_int
-    return run
+    lib.rk45_run.argtypes = (double_p, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+                             ctypes.c_long, double_p, long_p, double_p, ctypes.c_long, long_p)
+    lib.rk45_run.restype = ctypes.c_int
+    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    lib.rk45_sensitivity.argtypes = (array, ctypes.c_double, array, ctypes.c_long, array,
+                                     ctypes.c_long, array, array, array)
+    lib.rk45_sensitivity.restype = ctypes.c_long
+    return lib
 
 
 def _rms(x):
@@ -356,7 +348,7 @@ def _integrate_rk45(c, t0, t1, y0, t_eval, rtol, atol):
         h_abs = _initial_step(_scaled_rhs, c, t0, t1, y0, f, rtol, atol)
     except ArithmeticError as exc:
         raise _stalled(t_eval, record, t0, f"arithmetic failure ({exc})") from None
-    run = _rk45_kernel()
+    run = _rk45_kernel().rk45_run
     budget = MAX_STEPS
     coeffs = (ctypes.c_double * len(c))(*c)
     state = (ctypes.c_double * 12)(t0, *y0, *f, h_abs)    # as rk45_run reads and writes it
@@ -381,59 +373,6 @@ def _integrate_rk45(c, t0, t1, y0, t_eval, rtol, atol):
     return record, 2 + 6 * attempts.value
 
 
-# The stage tableau as one table: row i builds the state of stage i + 1
-# from k1..k6, and the last row (the 5th-order weights) builds y_new,
-# where k7 is evaluated.
-_STAGES = np.array([
-    [0, 0, 0, 0, 0, 0],
-    [_A21, 0, 0, 0, 0, 0],
-    [_A31, _A32, 0, 0, 0, 0],
-    [_A41, _A42, _A43, 0, 0, 0],
-    [_A51, _A52, _A53, _A54, 0, 0],
-    [_A61, _A62, _A63, _A64, _A65, 0],
-    [_B1, 0, _B3, _B4, _B5, _B6]])
-_LN10 = math.log(10.0)
-# Steps per block of the sensitivity pass; bounds its scratch memory.
-_SENSITIVITY_BLOCK = 128
-
-
-def _rhs_derivatives(y, c, kappa_s):
-    """Derivatives of _scaled_rhs at the states y, shape (m, 5).
-
-    Returns d f / d y, shape (m, 5, 5), and d f / d log10 (g_e, kappa_s,
-    n_spins), shape (m, 5, 3), with c the float coefficients of
-    _rhs_coefficients.
-    """
-    n, cr, ci, sz, ss = y.T
-    dy = np.zeros((len(y), 5, 5))
-    dy[:, 0, 0] = -c.kappa_c
-    dy[:, 0, 2] = -c.two_g
-    dy[:, 1, 1] = -c.half_width
-    dy[:, 1, 2] = c.delta
-    dy[:, 2, 0] = -c.g_e * sz
-    dy[:, 2, 1] = -c.delta
-    dy[:, 2, 2] = -c.half_width
-    dy[:, 2, 3] = -c.g_e * (0.5 / c.n_spins + n)
-    dy[:, 2, 4] = -c.g_e * c.pair_weight
-    dy[:, 3, 2] = c.four_g
-    dy[:, 3, 3] = -c.gamma
-    dy[:, 4, 2] = -c.two_g * sz
-    dy[:, 4, 3] = -c.two_g * ci
-    dy[:, 4, 4] = -c.pair_decay
-    # p d f / d p for p = g_e, kappa_s, n_spins, then times ln 10
-    dp = np.zeros((len(y), 5, 3))
-    dp[:, 0, 0] = -c.two_g * ci
-    dp[:, 2, 0] = -c.g_e * (0.5 * (sz + 1.0) / c.n_spins + c.pair_weight * ss + n * sz)
-    dp[:, 3, 0] = c.four_g * ci
-    dp[:, 4, 0] = -c.two_g * sz * ci
-    dp[:, 1, 1] = -0.5 * kappa_s * cr
-    dp[:, 2, 1] = -0.5 * kappa_s * ci
-    dp[:, 4, 1] = -kappa_s * ss
-    dp[:, 0, 2] = -c.feed
-    dp[:, 2, 2] = c.g_e * (0.5 * (sz + 1.0) - ss) / c.n_spins
-    return dy, dp * _LN10
-
-
 def _scaled_start(params, init):
     """(y0, RHS coefficients, N) of the N-scaled system."""
     N = float(params.n_spins)
@@ -443,66 +382,34 @@ def _scaled_start(params, init):
     return y0, _rhs_coefficients(params), N
 
 
+_LN10 = math.log(10.0)
+
+
 def _log_photon_sensitivity(traj):
     """d log10 n / d log10 (g_e, kappa_s, n_spins) on traj.t, shape (len, 3).
 
     The exact derivative of the Runge-Kutta solution in the step record
-    of the trajectory traj, with its step sizes frozen; the initial state
-    is the record's first row and the coefficients are those of
-    traj.params.  A step maps the sensitivity S = dy/dp (5 x 3)
-    affinely, S_next = M S + v, with M and v built from the stage
-    Jacobians of _scaled_rhs; as 8 x 8 matrices [[M, v], [0, I]] acting
-    on [S; I] the maps combine by a log-depth prefix product, in blocks
-    of _SENSITIVITY_BLOCK steps.  The stage sensitivities of the steps
-    that host output points are then rebuilt from S and weighted by the
-    quartic dense output.  The initial state and n = N y[0] add the
-    dependence on N through the scaling.
+    of the trajectory traj, with its step sizes frozen, from the kernel's
+    rk45_sensitivity; the initial state is the record's first row and the
+    coefficients are those of traj.params.  The initial state and
+    n = N y[0] add the dependence on N through the scaling.  Raises
+    ValueError when the record ends before traj.t does.
     """
-    rec = np.frombuffer(traj._record, dtype=float).reshape(-1, _RECORD)
-    t_eval = traj.t
+    rec = np.frombuffer(traj._record, dtype=float)
+    t_eval = np.ascontiguousarray(traj.t, dtype=float)
     coeffs = _rhs_coefficients(traj.params)
-    kappa_s = float(traj.params.kappa_s)
-    host = np.searchsorted(rec[:, 1], t_eval)
-    frame = np.eye(5, 8)
-    # [S; I] at the current step; y0 scales as 1/N except the inversion
-    state = np.eye(8, 3, -5)
-    state[:5, 2] = -_LN10 * rec[0, 2:7]
-    state[3, 2] = 0.0
-    sens = np.empty((len(t_eval), 5, 3))
-    for lo in range(0, len(rec), _SENSITIVITY_BLOCK):
-        block = rec[lo:lo + _SENSITIVITY_BLOCK]
-        m = len(block)
-        h = (block[:, 1] - block[:, 0])[:, None, None]
-        k = block[:, 7:].reshape(m, 7, 5)
-        stage_y = block[:, None, 2:7] + h * np.einsum("ij,mjd->mid", _STAGES, k[:, :6])
-        dy, dp = _rhs_derivatives(stage_y.reshape(-1, 5), coeffs, kappa_s)
-        dy, dp = dy.reshape(m, 7, 5, 5), dp.reshape(m, 7, 5, 3)
-        # maps[:, i] = d k_(i+1) / d [S; p], with z the derivative of the
-        # stage's state; the last z, that of y_new, is the step's [M | v]
-        maps = np.empty((m, 7, 5, 8))
-        for i in range(7):
-            z = frame + h * np.einsum("j,mjdc->mdc", _STAGES[i, :i], maps[:, :i])
-            maps[:, i] = dy[:, i] @ z
-            maps[:, i, :, 5:] += dp[:, i]
-        prefix = np.zeros((m, 8, 8))
-        prefix[:, :5] = z
-        prefix[:, 5:, 5:] = np.eye(3)
-        span = 1
-        while span < m:
-            prefix[span:] = prefix[span:] @ prefix[:-span]
-            span *= 2
-        states = np.concatenate([state[None], prefix @ state])
-        state = states[-1]
-        first, stop = np.searchsorted(host, (lo, lo + m))
-        steps, where = np.unique(host[first:stop] - lo, return_inverse=True)
-        stages = (maps[steps] @ states[steps][:, None])[where]
-        hh = h[steps, 0, 0][where]
-        x = (t_eval[first:stop] - block[steps, 0][where]) / hh
-        weights = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1) @ _DENSE_P.T
-        sens[first:stop] = (states[steps, :5][where]
-                            + hh[:, None, None] * np.einsum("qi,qids->qds", weights, stages))
+    # dy0/dp, a row per parameter: y0 scales as 1/N, except the inversion
+    sens0 = np.zeros((3, 5))
+    sens0[2] = -_LN10 * rec[2:7]
+    sens0[2, 3] = 0.0
+    out = np.empty((len(t_eval), 3))
+    done = _rk45_kernel().rk45_sensitivity(
+        np.array(coeffs), float(traj.params.kappa_s), rec, len(rec) // _RECORD, t_eval,
+        len(t_eval), _DENSE_P, sens0, out)
+    if done < len(t_eval):
+        raise ValueError(f"the step record covers {done} of the {len(t_eval)} output times")
     n_scaled = traj.photon_number / coeffs.n_spins
-    out = sens[:, 0, :] / (_LN10 * n_scaled[:, None])
+    out /= _LN10 * n_scaled[:, None]
     out[:, 2] += 1.0
     return out
 
@@ -513,8 +420,8 @@ class MaserTrajectory:
 
     _record, left out of repr and comparison, is the solve's record of
     every accepted step as the C kernel wrote it, _RECORD doubles per
-    step, which _log_photon_sensitivity differentiates to give the maser
-    fit its Jacobian without a second solve.  It outweighs the arrays:
+    step, which _log_photon_sensitivity passes to the kernel to give the
+    maser fit its Jacobian without a second solve.  It outweighs the arrays:
     433 KB for the 1,288 steps of the canonical 15 us burst
     (synthetic.BURST_DEFAULTS), against 96 KB of arrays at 2,000 points.
     The bytearray keeps the allocation the kernel filled, at most

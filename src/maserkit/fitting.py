@@ -37,10 +37,10 @@ and that trajectory's Jacobian, and the scan's best entry is the
 polish's first evaluation.  The fit takes the floored log10 of model and
 data itself (_log10), and the Jacobian d log10 n / d log10 (g_e,
 kappa_s, N) comes from the trajectory's step record by the sensitivity
-pass of cqed: exact for the discretization the residual uses, at a
-fraction of a solve's cost, and with no solve at all when the point was
-just evaluated.  All stages are plain function evaluations; nothing is
-stochastic.
+pass of cqed's compiled kernel: exact for the discretization the
+residual uses, at less than a solve's cost, and with no solve at all
+when the point was just evaluated.  All stages are plain function
+evaluations; nothing is stochastic.
 """
 
 import math

@@ -101,6 +101,8 @@ def thermal_photons(f, temperature):
 
 def cooperativity(g_e, kappa_c, kappa_s):
     """Cooperativity C = 4 g_e^2 / (kappa_c kappa_s)."""
+    # on floats, an overflowing product is inf (C = 0) without numpy's warning
+    g_e, kappa_c, kappa_s = float(g_e), float(kappa_c), float(kappa_s)
     if kappa_c <= 0 or kappa_s <= 0:
         raise InvalidInputError("kappa_c and kappa_s must be > 0")
     return 4.0 * g_e * g_e / (kappa_c * kappa_s)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -271,12 +272,17 @@ def test_an_empty_kernel_cache_builds_the_kernel_once(monkeypatch, empty_kernel_
         build(command, path)
 
     monkeypatch.setattr(cqed, "_build_kernel", counted)
+    # a solve and a sensitivity pass share one build
     first = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 2e-6), n_points=50)
+    first_sensitivity = cqed._log_photon_sensitivity(first)
+    assert len(builds) == 1
     cqed._rk45_kernel.cache_clear()    # as a new process would: load from the cache
     again = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 2e-6), n_points=50)
+    again_sensitivity = cqed._log_photon_sensitivity(again)
     assert len(builds) == 1
     assert [p.name for p in empty_kernel_cache.iterdir()] == [builds[0].name]
     assert bytes(first._record) == bytes(again._record)
+    assert np.array_equal(first_sensitivity, again_sensitivity)
 
 
 def test_a_second_process_loads_the_kernel_without_the_compiler(empty_kernel_cache):
@@ -383,6 +389,23 @@ def test_kept_steps_solve_is_bit_identical_to_simulate_maser():
     assert not any(f.compare for f in dataclasses.fields(traj) if f.name == "_record")
 
 
+# The Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) and the
+# step-size controller of scipy's RK45, as the kernel in _rk45.c has them.
+# Zero entries are left out.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
+                                -22 / 525, 1 / 40)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5
+
+
 def reference_rk45(rhs, c, t0, t1, y0, rtol, atol):
     """Reference: the Dormand-Prince 5(4) loop written generically over the
     state components, with the integrator's tableau, controller and record."""
@@ -397,36 +420,32 @@ def reference_rk45(rhs, c, t0, t1, y0, rtol, atol):
             t_new = min(t + h_abs, t1)
             h = t_new - t
             k1 = f
-            k2 = rhs(t + cqed._C2 * h, [a + (cqed._A21 * p) * h for a, p in zip(y, k1)], c)
-            k3 = rhs(t + cqed._C3 * h, [a + (cqed._A31 * p + cqed._A32 * q) * h
-                                        for a, p, q in zip(y, k1, k2)], c)
-            k4 = rhs(t + cqed._C4 * h, [a + (cqed._A41 * p + cqed._A42 * q + cqed._A43 * r) * h
-                                        for a, p, q, r in zip(y, k1, k2, k3)], c)
-            k5 = rhs(t + cqed._C5 * h, [a + (cqed._A51 * p + cqed._A52 * q + cqed._A53 * r
-                                             + cqed._A54 * s) * h
-                                        for a, p, q, r, s in zip(y, k1, k2, k3, k4)], c)
-            k6 = rhs(t + h, [a + (cqed._A61 * p + cqed._A62 * q + cqed._A63 * r
-                                  + cqed._A64 * s + cqed._A65 * u) * h
+            k2 = rhs(t + _C2 * h, [a + (_A21 * p) * h for a, p in zip(y, k1)], c)
+            k3 = rhs(t + _C3 * h, [a + (_A31 * p + _A32 * q) * h
+                                   for a, p, q in zip(y, k1, k2)], c)
+            k4 = rhs(t + _C4 * h, [a + (_A41 * p + _A42 * q + _A43 * r) * h
+                                   for a, p, q, r in zip(y, k1, k2, k3)], c)
+            k5 = rhs(t + _C5 * h, [a + (_A51 * p + _A52 * q + _A53 * r + _A54 * s) * h
+                                   for a, p, q, r, s in zip(y, k1, k2, k3, k4)], c)
+            k6 = rhs(t + h, [a + (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u) * h
                              for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)], c)
-            y_new = [a + h * (cqed._B1 * p + cqed._B3 * r + cqed._B4 * s + cqed._B5 * u
-                              + cqed._B6 * v)
+            y_new = [a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
                      for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
             k7 = rhs(t + h, y_new, c)
             error_norm = cqed._rms([
-                (cqed._E1 * p + cqed._E3 * r + cqed._E4 * s + cqed._E5 * u + cqed._E6 * v
-                 + cqed._E7 * w) * h / (atol + max(abs(a), abs(b)) * rtol)
+                (_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * v + _E7 * w) * h
+                / (atol + max(abs(a), abs(b)) * rtol)
                 for a, b, p, r, s, u, v, w in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
             if error_norm < 1:
                 if error_norm == 0:
-                    factor = cqed._MAX_FACTOR
+                    factor = _MAX_FACTOR
                 else:
-                    factor = min(cqed._MAX_FACTOR,
-                                 cqed._SAFETY * error_norm ** cqed._ERROR_EXPONENT)
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 if rejected:
                     factor = min(1, factor)
                 h_abs = h * factor
                 break
-            h_abs = h * max(cqed._MIN_FACTOR, cqed._SAFETY * error_norm ** cqed._ERROR_EXPONENT)
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         record.extend((t, t_new, *y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
         t, y, f = t_new, y_new, k7
@@ -470,6 +489,119 @@ def test_unrolled_steps_are_bit_identical_to_the_generic_loop():
         reference = reference_rk45(rhs, c, 0.0, t1, y0, rtol, atol)
         assert bytes(record) == reference.tobytes(), (params, init)
         assert rhs_calls == len(calls), (params, init)
+
+
+# The stage tableau as one table: row i builds the state of stage i + 1
+# from k1..k6, and the last row (the 5th-order weights) builds y_new,
+# where k7 is evaluated.
+_STAGES = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [_A21, 0, 0, 0, 0, 0],
+    [_A31, _A32, 0, 0, 0, 0],
+    [_A41, _A42, _A43, 0, 0, 0],
+    [_A51, _A52, _A53, _A54, 0, 0],
+    [_A61, _A62, _A63, _A64, _A65, 0],
+    [_B1, 0, _B3, _B4, _B5, _B6]])
+# Steps per block of the reference pass; bounds its scratch memory.
+_SENSITIVITY_BLOCK = 128
+
+
+def reference_rhs_derivatives(y, c, kappa_s):
+    """Derivatives of _scaled_rhs at the states y, shape (m, 5).
+
+    Returns d f / d y, shape (m, 5, 5), and ln 10 p d f / d p for
+    p = g_e, kappa_s, n_spins, shape (m, 5, 3), with c the float
+    coefficients of _rhs_coefficients.
+    """
+    n, cr, ci, sz, ss = y.T
+    dy = np.zeros((len(y), 5, 5))
+    dy[:, 0, 0] = -c.kappa_c
+    dy[:, 0, 2] = -c.two_g
+    dy[:, 1, 1] = -c.half_width
+    dy[:, 1, 2] = c.delta
+    dy[:, 2, 0] = -c.g_e * sz
+    dy[:, 2, 1] = -c.delta
+    dy[:, 2, 2] = -c.half_width
+    dy[:, 2, 3] = -c.g_e * (0.5 / c.n_spins + n)
+    dy[:, 2, 4] = -c.g_e * c.pair_weight
+    dy[:, 3, 2] = c.four_g
+    dy[:, 3, 3] = -c.gamma
+    dy[:, 4, 2] = -c.two_g * sz
+    dy[:, 4, 3] = -c.two_g * ci
+    dy[:, 4, 4] = -c.pair_decay
+    dp = np.zeros((len(y), 5, 3))
+    dp[:, 0, 0] = -c.two_g * ci
+    dp[:, 2, 0] = -c.g_e * (0.5 * (sz + 1.0) / c.n_spins + c.pair_weight * ss + n * sz)
+    dp[:, 3, 0] = c.four_g * ci
+    dp[:, 4, 0] = -c.two_g * sz * ci
+    dp[:, 1, 1] = -0.5 * kappa_s * cr
+    dp[:, 2, 1] = -0.5 * kappa_s * ci
+    dp[:, 4, 1] = -kappa_s * ss
+    dp[:, 0, 2] = -c.feed
+    dp[:, 2, 2] = c.g_e * (0.5 * (sz + 1.0) - ss) / c.n_spins
+    return dy, dp * math.log(10.0)
+
+
+def reference_log_photon_sensitivity(traj):
+    """Reference: cqed._log_photon_sensitivity as a vectorised numpy pass.
+
+    A step maps the sensitivity S = dy/dp (5 x 3) affinely, S_next = M S
+    + v, with M and v built from the stage Jacobians of _scaled_rhs; as
+    8 x 8 matrices [[M, v], [0, I]] acting on [S; I] the maps combine by
+    a log-depth prefix product, in blocks of _SENSITIVITY_BLOCK steps.
+    The stage sensitivities of the steps that host output points are then
+    rebuilt from S and weighted by the quartic dense output.  Its stage
+    states come from _STAGES, not the kernel's expressions, so it agrees
+    with the kernel to rounding, not bit for bit.
+    """
+    ln10 = math.log(10.0)
+    rec = np.frombuffer(traj._record, dtype=float).reshape(-1, cqed._RECORD)
+    t_eval = traj.t
+    coeffs = _rhs_coefficients(traj.params)
+    kappa_s = float(traj.params.kappa_s)
+    host = np.searchsorted(rec[:, 1], t_eval)
+    frame = np.eye(5, 8)
+    # [S; I] at the current step; y0 scales as 1/N except the inversion
+    state = np.eye(8, 3, -5)
+    state[:5, 2] = -ln10 * rec[0, 2:7]
+    state[3, 2] = 0.0
+    sens = np.empty((len(t_eval), 5, 3))
+    for lo in range(0, len(rec), _SENSITIVITY_BLOCK):
+        block = rec[lo:lo + _SENSITIVITY_BLOCK]
+        m = len(block)
+        h = (block[:, 1] - block[:, 0])[:, None, None]
+        k = block[:, 7:].reshape(m, 7, 5)
+        stage_y = block[:, None, 2:7] + h * np.einsum("ij,mjd->mid", _STAGES, k[:, :6])
+        dy, dp = reference_rhs_derivatives(stage_y.reshape(-1, 5), coeffs, kappa_s)
+        dy, dp = dy.reshape(m, 7, 5, 5), dp.reshape(m, 7, 5, 3)
+        # maps[:, i] = d k_(i+1) / d [S; p], with z the derivative of the
+        # stage's state; the last z, that of y_new, is the step's [M | v]
+        maps = np.empty((m, 7, 5, 8))
+        for i in range(7):
+            z = frame + h * np.einsum("j,mjdc->mdc", _STAGES[i, :i], maps[:, :i])
+            maps[:, i] = dy[:, i] @ z
+            maps[:, i, :, 5:] += dp[:, i]
+        prefix = np.zeros((m, 8, 8))
+        prefix[:, :5] = z
+        prefix[:, 5:, 5:] = np.eye(3)
+        span = 1
+        while span < m:
+            prefix[span:] = prefix[span:] @ prefix[:-span]
+            span *= 2
+        states = np.concatenate([state[None], prefix @ state])
+        state = states[-1]
+        first, stop = np.searchsorted(host, (lo, lo + m))
+        steps, where = np.unique(host[first:stop] - lo, return_inverse=True)
+        stages = (maps[steps] @ states[steps][:, None])[where]
+        hh = h[steps, 0, 0][where]
+        x = (t_eval[first:stop] - block[steps, 0][where]) / hh
+        weights = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1) @ cqed._DENSE_P.T
+        sens[first:stop] = (states[steps, :5][where]
+                            + hh[:, None, None] * np.einsum("qi,qids->qds", weights, stages))
+    n_scaled = traj.photon_number / coeffs.n_spins
+    out = sens[:, 0, :] / (ln10 * n_scaled[:, None])
+    out[:, 2] += 1.0
+    return out
 
 
 def scaled_params(p):
@@ -522,10 +654,10 @@ def frozen_step_log_photons(p, steps, t_eval):
     t = 0.0
     for h in steps:
         k = [np.array(_scaled_rhs(t, y, c))]
-        for row in cqed._STAGES[1:]:
+        for row in _STAGES[1:]:
             k.append(np.array(_scaled_rhs(t, y + h * (row[:len(k)] @ np.array(k)), c)))
         record += [t, t + h, *y, *np.concatenate(k)]
-        y = y + h * (cqed._STAGES[-1] @ np.array(k[:6]))
+        y = y + h * (_STAGES[-1] @ np.array(k[:6]))
         t += h
     return np.log10(cqed._dense_output(np.array(record), t_eval)[0] * N)
 
@@ -547,12 +679,57 @@ def test_exact_jacobian_is_the_frozen_step_derivative():
         assert np.linalg.norm(exact[:, j] - reference) < 1e-5 * np.linalg.norm(reference)
 
 
+@pytest.mark.parametrize("case", ["corners", "detuned", "coherent", "rtol-1e-6", "rtol-1e-10"])
+def test_kernel_sensitivity_matches_the_numpy_reference(case):
+    # The two passes differentiate the same steps; they differ only in the
+    # order of their float operations, by about 2e-11 of each column.
+    grid = np.linspace(0.0, 1.5e-5, 600)
+    runs = {
+        "corners": [(dataclasses.replace(REF_PARAMS, g_e=fg * REF_PARAMS.g_e,
+                                         kappa_s=fk * REF_PARAMS.kappa_s,
+                                         n_spins=fn * REF_PARAMS.n_spins), REF_INIT, grid, {})
+                    for fg, fk, fn in itertools.product((0.7, 1.0, 1.3), repeat=3)],
+        "detuned": [(dataclasses.replace(REF_PARAMS, delta=2e6), REF_INIT, grid, {}),
+                    (dataclasses.replace(REF_PARAMS, delta=3e5), REF_INIT,
+                     np.linspace(4e-6, 9e-6, 50), {"rtol": 1e-6, "atol": 1e-16})],
+        "coherent": [(dataclasses.replace(REF_PARAMS, n_spins=1e3, n_bar=2.0),
+                      MaserState(photon_number=2.0, coherence=3.0 + 4.0j, inversion=0.8,
+                                 spin_correlation=50.0), grid, {})],
+        "rtol-1e-6": [(REF_PARAMS, REF_INIT, grid, {"rtol": 1e-6})],
+        "rtol-1e-10": [(REF_PARAMS, REF_INIT, grid, {"rtol": 1e-10})],
+    }
+    for params, init, t_eval, tolerances in runs[case]:
+        traj = simulate_maser(params, init, (0.0, 1.5e-5), t_eval=t_eval, **tolerances)
+        kernel = cqed._log_photon_sensitivity(traj)
+        reference = reference_log_photon_sensitivity(traj)
+        scale = np.max(np.abs(reference), axis=0)
+        assert np.all(np.max(np.abs(kernel - reference), axis=0) <= 1e-10 * scale), params
+
+
+def test_a_record_that_ends_before_the_output_grid_raises():
+    traj = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5), n_points=600)
+    rows = len(traj._record) // cqed._RECORD_BYTES
+    short = dataclasses.replace(traj, _record=traj._record[:rows // 2 * cqed._RECORD_BYTES])
+    with pytest.raises(ValueError, match="covers [0-9]+ of the 600 output times"):
+        cqed._log_photon_sensitivity(short)
+
+
 def test_cooperativity_reference_value():
     kappa_c = TWO_PI * 1.478e9 / 3690.0
     c = cooperativity(TWO_PI * 2.3e6, kappa_c, TWO_PI * 0.29e6)
     assert c == pytest.approx(182.16, abs=0.05)
     with pytest.raises(InvalidInputError):
         cooperativity(1e6, 0.0, 1e6)
+
+
+def test_cooperativity_of_numpy_scalars_overflows_to_zero_without_a_warning():
+    # fit-maser passes np.float64 values; an overflowing kappa_c * kappa_s
+    # gives C = 0, as it does for floats, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cooperativity(*map(np.float64, (1e6, 1e308, 1e308))) == 0.0
+    args = (TWO_PI * 2.3e6, TWO_PI * 1.478e9 / 3690.0, TWO_PI * 0.29e6)
+    assert cooperativity(*map(np.float64, args)) == cooperativity(*args)
 
 
 def test_predicted_rabi():
