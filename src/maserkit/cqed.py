@@ -27,12 +27,12 @@ dense output.  It runs scipy RK45's method in-house: the same tableau,
 initial-step rule, error norm, step-size controller and minimum step, so
 it takes the steps and right-hand-side evaluations that
 solve_ivp(method="RK45") takes, without scipy's per-step array overhead,
-which outweighed the five-state right-hand side.  The first stage and
-the initial step are computed in Python by _scaled_rhs and
-_initial_step; the step loop and the sensitivity pass below run in one
-small C kernel, _rk45.c, loaded with ctypes.  Its step loop makes the
-float operations of a Python loop over the components that calls
-_scaled_rhs at every stage, in the same order, and is compiled without
+which outweighed the five-state right-hand side.  The whole solve runs
+in one call of a small C kernel, _rk45.c, loaded with ctypes: the first
+stage, the initial step, the steps and the states at the output times.
+The kernel makes the float operations of a Python loop over the
+components that evaluates the right-hand side at every stage, in the
+same order (the oracles of tests/test_cqed.py), and is compiled without
 contraction into fused multiply-adds, so its steps are bit-identical to
 that loop's.  It is built with the interpreter's C compiler on the
 first solve and cached beside the package's bytecode (_KERNEL_CACHE),
@@ -41,17 +41,18 @@ method must stay because the maser fit's success depends on its
 truncation error: with DOP853 in its place, fits started from
 (kappa_s, N) = 0.7 x truth end 2-4% off while reporting convergence.
 
-The integrator keeps every accepted step as native doubles in a
-bytearray that numpy reads in place.  simulate_maser is the one way a
-burst is solved: it samples the solve on an output grid and returns the
-record with the trajectory.  The maser fit solves through it and takes
-the derivatives of log10 n with respect to log10 (g_e, kappa_s, N) from
-a trajectory's record with _log_photon_sensitivity, whose pass in the
-kernel differentiates the Runge-Kutta steps themselves with their sizes
-frozen (forward sensitivities with error control on the state only, as
-in CVODES with errconS off; Hindmarsh et al., ACM TOMS 31, 363 (2005);
-Bock's internal numerical differentiation, 1981).  So the Jacobian is
-exact for the discretization the residual uses, with no second solve.
+The kernel records every accepted step in a float64 array that cqed
+allocates.  simulate_maser is the one way a burst is solved: it returns
+the states the kernel sampled on the output grid, and the record, with
+the trajectory.  The maser fit solves through it and takes the
+derivatives of log10 n with respect to log10 (g_e, kappa_s, N) from a
+trajectory's record with _log_photon_sensitivity, whose pass, the
+kernel's second entry, differentiates the Runge-Kutta steps themselves
+with their sizes frozen (forward sensitivities with error control on the
+state only, as in CVODES with errconS off; Hindmarsh et al., ACM TOMS
+31, 363 (2005); Bock's internal numerical differentiation, 1981).  So
+the Jacobian is exact for the discretization the residual uses, with no
+second solve.
 """
 
 import ctypes
@@ -63,7 +64,7 @@ import shlex
 import sysconfig
 import tempfile
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -114,10 +115,9 @@ class MaserSystemParams:
     n_bar: float
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in vars(self).items():
             if not is_finite_real(value):
-                raise InvalidInputError(f"{f.name} must be a finite real number, got {value!r}")
+                raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
         for name in ("g_e", "kappa_c", "kappa_s", "gamma", "n_bar"):
             if getattr(self, name) < 0:
                 raise InvalidInputError(f"{name} must be >= 0")
@@ -143,74 +143,36 @@ class MaserState:
         return self
 
 
+# The constants of the right-hand side, in the order the kernel reads them.
 _RhsCoefficients = namedtuple("_RhsCoefficients", (
     "kappa_c", "feed", "half_width", "delta", "g_e", "two_g", "four_g",
     "gamma", "n_spins", "pair_weight", "pair_decay"))
 
 
 def _rhs_coefficients(p):
-    """Per-solve constants of _scaled_rhs for the parameters p, as floats."""
-    c = _RhsCoefficients(
-        kappa_c=p.kappa_c,
-        feed=p.kappa_c * p.n_bar / p.n_spins,
-        half_width=0.5 * (p.kappa_c + p.gamma + p.kappa_s),
-        delta=p.delta,
-        g_e=p.g_e,
-        two_g=2.0 * p.g_e,
-        four_g=4.0 * p.g_e,
-        gamma=p.gamma,
-        n_spins=p.n_spins,
-        pair_weight=1.0 - 1.0 / p.n_spins,
-        pair_decay=p.gamma + p.kappa_s,
-    )
-    return c._make(float(v) for v in c)
+    """The constants of the right-hand side for the parameters p, as floats."""
+    return _RhsCoefficients._make(map(float, (
+        p.kappa_c, p.kappa_c * p.n_bar / p.n_spins, 0.5 * (p.kappa_c + p.gamma + p.kappa_s),
+        p.delta, p.g_e, 2.0 * p.g_e, 4.0 * p.g_e, p.gamma, p.n_spins, 1.0 - 1.0 / p.n_spins,
+        p.gamma + p.kappa_s)))
 
 
-# The reference right-hand side; the kernel in _rk45.c evaluates it term by term.
-def _scaled_rhs(t, y, c):
-    # State scaled by N: y = (n/N, Re c/N, Im c/N, sz, ss/N); c from _rhs_coefficients.
-    n, cr, ci, sz, ss = y
-    kappa_c, feed, half_width, delta, g_e, two_g, four_g, gamma, n_spins, pair_weight, \
-        pair_decay = c
-    bracket = 0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz
-    return (
-        -kappa_c * n + feed - two_g * ci,
-        -half_width * cr + delta * ci,
-        -half_width * ci - delta * cr - g_e * bracket,
-        -gamma * sz + four_g * ci,
-        -pair_decay * ss - two_g * sz * ci,
-    )
-
-
-# Shampine's quartic dense output (Math. Comp. 46, 135 (1986)) of the
-# Dormand-Prince 5(4) pair, as scipy's RK45 has it: stage j weighs in with
-# _DENSE_P[j] . (x, x^2, x^3, x^4) at x = (t - t_old) / h.
-_DENSE_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 # One step record: t_old, t_new, y_old (5) and the stages k1..k7 (35).
 _RECORD = 42
-_RECORD_BYTES = 8 * _RECORD
-# Rows the record grows by when the kernel fills it, or an eighth if that is more.
-_GROW_ROWS = 256
+# Rows of a new record: room for the 1,288 steps of the canonical 15 us
+# burst, so that its solve is one kernel call.  A longer solve doubles the
+# record and resumes.
+_RECORD_ROWS = 2048
 
-# The step-loop kernel: its C source, the compile flags (no contraction of
-# a * b + c into a fused multiply-add, which would change the last bit, and
-# no -ffast-math or -march=native), and the directory of built kernels.
+# The kernel: its C source, the compile flags (no contraction of a * b + c
+# into a fused multiply-add, which would change the last bit, and no
+# -ffast-math or -march=native; -O3 vectorizes without reordering any
+# sum), and the directory of built kernels.
 _KERNEL_SOURCE = Path(__file__).with_name("_rk45.c")
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
-# rk45_run's return codes other than 0, t1 reached
-_FULL, _STEP_TOO_SMALL, _OUT_OF_BUDGET = 1, 2, 3
+# rk45_solve's return codes other than 0, t1 reached
+_FULL, _STEP_TOO_SMALL, _OUT_OF_BUDGET, _NO_FIRST_STEP = 1, 2, 3, 4
 
 
 def _compile_command():
@@ -240,13 +202,14 @@ def _build_kernel(command, path):
 
 @functools.cache
 def _rk45_kernel():
-    """rk45_run and rk45_sensitivity of _rk45.c, built into _KERNEL_CACHE on first use.
+    """rk45_solve and rk45_sensitivity of _rk45.c, built into _KERNEL_CACHE on first use.
 
     A built kernel is named after a hash of the source, the compile
     command and the platform, so any process that compiles the same way
     loads it without calling the compiler.  Raises KernelBuildError when
     the compiler is missing or fails, or the kernel cannot be written or
-    loaded.
+    loaded.  The arrays go in as plain addresses (c_void_p), so the
+    callers pass only C-contiguous float64 arrays of the sizes they state.
     """
     command = _compile_command()
     key = importlib.util.source_hash(b"\0".join(
@@ -259,158 +222,113 @@ def _rk45_kernel():
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise KernelBuildError(f"cannot build or load the RK45 kernel {path}: {exc}") from None
-    double_p, long_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_long)
-    lib.rk45_run.argtypes = (double_p, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-                             ctypes.c_long, double_p, long_p, double_p, ctypes.c_long, long_p)
-    lib.rk45_run.restype = ctypes.c_int
-    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    lib.rk45_sensitivity.argtypes = (array, ctypes.c_double, array, ctypes.c_long, array,
-                                     ctypes.c_long, array, array, array)
-    lib.rk45_sensitivity.restype = ctypes.c_long
+    double, long, address = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
+    lib.rk45_solve.argtypes = (ctypes.POINTER(double), double, double, double, long, address,
+                               long, address, address, long, ctypes.POINTER(double),
+                               ctypes.POINTER(long))
+    lib.rk45_solve.restype = ctypes.c_int
+    lib.rk45_sensitivity.argtypes = (ctypes.POINTER(double), double, address, long, address,
+                                     address, long, double, address)
+    lib.rk45_sensitivity.restype = long
     return lib
-
-
-def _rms(x):
-    # Summed left to right, as the kernel's error norm is; sum() of
-    # floats is compensated from Python 3.12.  Squares by multiplication: an
-    # overflow gives inf, as in numpy, not an exception.
-    total = 0.0
-    for v in x:
-        total += v * v
-    return math.sqrt(total) / math.sqrt(len(x))
 
 
 def _stalled(t_eval, record, t0, message):
     # the last output time at or before the time the solve reached: the
     # end of the last recorded step, or t0
-    t = np.frombuffer(record)[1 - _RECORD] if record else t0
+    t = record[-1, 1] if len(record) else t0
     done = int(np.searchsorted(t_eval, t, side="right"))
     last = float(t_eval[done - 1]) if done else t0
     return IntegrationFailureError(
         f"integration stalled at t = {last:.6e} s: {message}", last_time=last)
 
 
-def _initial_step(rhs, c, t0, t1, y0, f0, rtol, atol):
-    """First step size by the rule of Hairer, Norsett & Wanner, Sec. II.4."""
-    interval = t1 - t0
-    scale = [atol + abs(a) * rtol for a in y0]
-    d0 = _rms([a / b for a, b in zip(y0, scale)])
-    d1 = _rms([a / b for a, b in zip(f0, scale)])
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    f1 = rhs(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)], c)
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, interval)
-
-
-def _dense_output(record, t_eval):
-    """States at t_eval from the quartic interpolants of the recorded steps."""
-    rec = np.frombuffer(record, dtype=float).reshape(-1, _RECORD)
-    t_old, t_new = rec[:, 0], rec[:, 1]
-    step = np.searchsorted(t_new, t_eval)
-    h = (t_new - t_old)[step]
-    q = np.einsum("msi,sj->mij", rec[step, 7:].reshape(-1, 7, 5), _DENSE_P)
-    x = (t_eval - t_old[step]) / h
-    powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
-    return (rec[step, 2:7] + h[:, None] * np.einsum("pij,pj->pi", q, powers)).T
-
-
 def _integrate_rk45(c, t0, t1, y0, t_eval, rtol, atol):
-    """Integrate y' = _scaled_rhs(t, y, c) from t0 to t1.
+    """Integrate the N-scaled system with coefficients c from t0 to t1.
 
-    The method, error norm, step-size controller, minimum step and dense
-    output are those of scipy's solve_ivp(method="RK45") with max_step
-    unbounded, so the two take the same steps.  The first stage and
-    _initial_step run in Python; the steps run in the C kernel of
-    _rk45_kernel, which makes the float operations of a generic loop over
-    the components calling _scaled_rhs, in the same order, so its record
-    is bit-identical to that loop's.  Returns the record of every
-    accepted step, a bytearray of _RECORD native doubles per step (the
-    bytes of a float64 array), which _dense_output turns into the states
-    at t_eval and _log_photon_sensitivity into their derivatives, and the
-    number of right-hand-side evaluations, 2 + 6 per step attempt, as
-    scipy counts them.  Whenever the kernel fills the record, the record
-    grows by _GROW_ROWS rows or an eighth, and the kernel resumes.
+    One call of the kernel's rk45_solve makes the whole solve: the first
+    stage, the initial step, the steps and the states at t_eval.  The
+    method, initial-step rule, error norm, step-size controller, minimum
+    step and dense output are those of scipy's solve_ivp(method="RK45")
+    with max_step unbounded, so the two take the same steps; the kernel
+    makes the float operations of a generic Python loop over the
+    components, in the same order, so its record is bit-identical to that
+    loop's.  c is the coefficient array of _scaled_start, y0 the N-scaled
+    initial state and t_eval a C-contiguous float64 grid in [t0, t1].
+
+    Returns the record of every accepted step, a (steps, _RECORD) float64
+    array that _log_photon_sensitivity turns into derivatives, the states
+    at t_eval, shape (5, len(t_eval)), and the number of right-hand-side
+    evaluations, 2 + 6 per step attempt, as scipy counts them.  The
+    record is a view of the first rows of an allocation of _RECORD_ROWS
+    rows; when the kernel fills it, the allocation doubles and the
+    kernel resumes.
 
     Raises IntegrationFailureError, carrying the last output time reached,
-    when the step size falls below ten float spacings of t, the first
-    stage or the initial step fails arithmetically (overflow, division by
-    zero) or MAX_STEPS step attempts do not reach t1; KernelBuildError
-    when the kernel cannot be built.
+    when the initial step is zero or not a number (the arithmetic of
+    extreme rates), the step size falls below ten float spacings of t or
+    MAX_STEPS step attempts do not reach t1; KernelBuildError when the
+    kernel cannot be built.
     """
-    record = bytearray()
-    try:
-        f = _scaled_rhs(t0, y0, c)
-        h_abs = _initial_step(_scaled_rhs, c, t0, t1, y0, f, rtol, atol)
-    except ArithmeticError as exc:
-        raise _stalled(t_eval, record, t0, f"arithmetic failure ({exc})") from None
-    run = _rk45_kernel().rk45_run
-    budget = MAX_STEPS
-    coeffs = (ctypes.c_double * len(c))(*c)
-    state = (ctypes.c_double * 12)(t0, *y0, *f, h_abs)    # as rk45_run reads and writes it
-    attempts, written = ctypes.c_long(0), ctypes.c_long(0)
-    rows = 0
-    status = _FULL
+    solve = _rk45_kernel().rk45_solve
+    states = np.empty((5, len(t_eval)))
+    record = np.empty((_RECORD_ROWS, _RECORD))
+    state = (ctypes.c_double * 12)(t0, *y0)    # t, y, k1, h_abs, as rk45_solve reads it
+    counts = (ctypes.c_long * 3)()    # step attempts, rows and points written
+    args = (c, t1, rtol, atol, MAX_STEPS, t_eval.ctypes.data, len(t_eval), states.ctypes.data)
+    status = solve(*args, record.ctypes.data, len(record), state, counts)
     while status == _FULL:
-        room = max(_GROW_ROWS, rows // 8)
-        record += bytes(room * _RECORD_BYTES)
-        free = (ctypes.c_double * (room * _RECORD)).from_buffer(record, rows * _RECORD_BYTES)
-        status = run(coeffs, t1, rtol, atol, budget, state, ctypes.byref(attempts), free, room,
-                     ctypes.byref(written))
-        del free    # releases the bytearray for the next resize
-        rows += written.value
-    del record[rows * _RECORD_BYTES:]
+        grown = np.empty((2 * len(record), _RECORD))
+        grown[:len(record)] = record
+        record = grown
+        status = solve(*args, record.ctypes.data, len(record), state, counts)
+    attempts, rows, _ = counts
+    record = record[:rows]
+    if status == _NO_FIRST_STEP:
+        raise _stalled(t_eval, record, t0, "the initial step size is zero or not a number")
     if status == _STEP_TOO_SMALL:
         raise _stalled(t_eval, record, t0,
                        "Required step size is less than spacing between numbers.")
     if status == _OUT_OF_BUDGET:
         raise _stalled(t_eval, record, t0,
-                       f"{budget} step attempts did not reach the end of the span")
-    return record, 2 + 6 * attempts.value
+                       f"{MAX_STEPS} step attempts did not reach the end of the span")
+    return record, states, 2 + 6 * attempts
 
 
 def _scaled_start(params, init):
-    """(y0, RHS coefficients, N) of the N-scaled system."""
+    """(y0, the kernel's coefficient array, N) of the N-scaled system."""
     N = float(params.n_spins)
     c0 = complex(init.coherence)
     y0 = (float(init.photon_number) / N, c0.real / N, c0.imag / N,
           float(init.inversion), float(init.spin_correlation) / N)
-    return y0, _rhs_coefficients(params), N
+    return y0, (ctypes.c_double * len(_RhsCoefficients._fields))(*_rhs_coefficients(params)), N
 
 
-_LN10 = math.log(10.0)
-
-
-def _log_photon_sensitivity(traj):
+def _log_photon_sensitivity(traj, floor):
     """d log10 n / d log10 (g_e, kappa_s, n_spins) on traj.t, shape (len, 3).
 
     The exact derivative of the Runge-Kutta solution in the step record
-    of the trajectory traj, with its step sizes frozen, from the kernel's
-    rk45_sensitivity; the initial state is the record's first row and the
-    coefficients are those of traj.params.  The initial state and
-    n = N y[0] add the dependence on N through the scaling.  Raises
-    ValueError when the record ends before traj.t does.
+    of the trajectory traj (made by simulate_maser), with its step sizes
+    frozen, from the kernel's rk45_sensitivity, which also divides by
+    ln 10 n / N and adds the dependence of n = N y[0] on N; the initial
+    state is the record's first row and the coefficients are those the
+    solve used.  Rows where the photon number is not above floor (the
+    maser fit passes its LOG_FLOOR) are zero, as the derivative of
+    log10 max(n, floor) is there.  Raises
+    ValueError when the record ends before traj.t does, or the record or
+    the photon numbers do not have the shapes of a solve's.
     """
-    rec = np.frombuffer(traj._record, dtype=float)
+    record = np.ascontiguousarray(traj._record, dtype=float)
     t_eval = np.ascontiguousarray(traj.t, dtype=float)
-    coeffs = _rhs_coefficients(traj.params)
-    # dy0/dp, a row per parameter: y0 scales as 1/N, except the inversion
-    sens0 = np.zeros((3, 5))
-    sens0[2] = -_LN10 * rec[2:7]
-    sens0[2, 3] = 0.0
+    photons = np.ascontiguousarray(traj.photon_number, dtype=float)
+    if record.shape[1:] != (_RECORD,) or t_eval.ndim != 1 or photons.shape != t_eval.shape:
+        raise ValueError("the trajectory's record or photon numbers are not a solve's")
     out = np.empty((len(t_eval), 3))
     done = _rk45_kernel().rk45_sensitivity(
-        np.array(coeffs), float(traj.params.kappa_s), rec, len(rec) // _RECORD, t_eval,
-        len(t_eval), _DENSE_P, sens0, out)
+        traj._coefficients, float(traj.params.kappa_s), record.ctypes.data, len(record),
+        t_eval.ctypes.data, photons.ctypes.data, len(t_eval), floor, out.ctypes.data)
     if done < len(t_eval):
         raise ValueError(f"the step record covers {done} of the {len(t_eval)} output times")
-    n_scaled = traj.photon_number / coeffs.n_spins
-    out /= _LN10 * n_scaled[:, None]
-    out[:, 2] += 1.0
     return out
 
 
@@ -419,13 +337,16 @@ class MaserTrajectory:
     """Simulated expectation values on an output grid (physical units).
 
     _record, left out of repr and comparison, is the solve's record of
-    every accepted step as the C kernel wrote it, _RECORD doubles per
-    step, which _log_photon_sensitivity passes to the kernel to give the
-    maser fit its Jacobian without a second solve.  It outweighs the arrays:
-    433 KB for the 1,288 steps of the canonical 15 us burst
+    every accepted step as the C kernel wrote it, a (steps, _RECORD)
+    float64 array, which _log_photon_sensitivity passes to the kernel,
+    with the solve's coefficient array _coefficients, to give the maser
+    fit its Jacobian without a second solve.  It outweighs the arrays: 433
+    KB for the 1,288 steps of the canonical 15 us burst
     (synthetic.BURST_DEFAULTS), against 96 KB of arrays at 2,000 points.
-    The bytearray keeps the allocation the kernel filled, at most
-    _GROW_ROWS rows or an eighth more than the steps it holds.
+    It is a view of the first rows of the allocation the kernel filled,
+    _RECORD_ROWS rows (688 KB) or a power of two times that; the rows
+    past the steps are never written, so their pages need not be
+    resident.
     """
 
     t: np.ndarray
@@ -434,7 +355,8 @@ class MaserTrajectory:
     inversion: np.ndarray
     spin_correlation: np.ndarray
     params: MaserSystemParams
-    _record: bytearray = field(repr=False, compare=False)
+    _record: np.ndarray = field(repr=False, compare=False)
+    _coefficients: ctypes.Array = field(repr=False, compare=False)
 
     def photon_trace(self):
         return TimeTrace(self.t, self.photon_number, "photons")
@@ -487,18 +409,15 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         t_eval = np.linspace(t0, t1, int(n_points))
     else:
         t_eval = np.array(t_eval, dtype=float)
-        if t_eval.ndim != 1:
-            raise InvalidInputError("t_eval must be one-dimensional")
-        if len(t_eval) == 0 or not np.all(np.isfinite(t_eval)):
-            raise InvalidInputError("t_eval must be a non-empty grid of finite times")
-        if np.any(t_eval < t0) or np.any(t_eval > t1):
-            raise InvalidInputError("t_eval must lie within t_span")
-        if np.any(np.diff(t_eval) <= 0):
-            raise InvalidInputError("t_eval must be strictly increasing")
+        # A grid that starts at or after t0, rises at every sample and ends
+        # at or before t1 is finite too: a NaN fails every comparison.
+        if not (t_eval.ndim == 1 and len(t_eval) and t0 <= t_eval[0] and t_eval[-1] <= t1
+                and np.count_nonzero(t_eval[1:] > t_eval[:-1]) == len(t_eval) - 1):
+            raise InvalidInputError("t_eval must be a non-empty one-dimensional grid of "
+                                    "strictly increasing finite times within t_span")
 
     y0, coeffs, N = _scaled_start(params, init)
-    record, _ = _integrate_rk45(coeffs, t0, t1, y0, t_eval, float(rtol), float(atol))
-    y = _dense_output(record, t_eval)
+    record, y, _ = _integrate_rk45(coeffs, t0, t1, y0, t_eval, float(rtol), float(atol))
     return MaserTrajectory(
         t=t_eval,
         photon_number=y[0] * N,
@@ -507,6 +426,7 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         spin_correlation=y[4] * N,
         params=params,
         _record=record,
+        _coefficients=coeffs,
     )
 
 

@@ -430,8 +430,9 @@ class _BurstModel:
     cqed.simulate_maser with the held quantities of fixed on t_grid (the
     rows of one fit window), or None when the integration fails.
     log_photons(p) is the _log10 of its photon trace, the fit's one
-    model, and log_jacobian(p) gives d log10 n / dp from the trajectory's
-    step record by cqed._log_photon_sensitivity.  The model keeps one
+    model, and log_jacobian(p) gives its derivative d log10 n / dp, zero
+    where n is not above LOG_FLOOR, from the trajectory's step record by
+    cqed._log_photon_sensitivity.  The model keeps one
     entry, [key, trajectory, Jacobian], with the Jacobian filled in once
     asked for: a Jacobian at the point just evaluated costs only the
     sensitivity pass, and one asked for again costs nothing.  A failed
@@ -442,8 +443,12 @@ class _BurstModel:
     """
 
     def __init__(self, fixed, t_grid):
+        from . import cqed
+
         self.fixed = fixed
         self.t = t_grid
+        self.init = cqed.MaserState(photon_number=fixed["n_bar"], coherence=0.0,
+                                    inversion=fixed["inversion0"], spin_correlation=0.0)
         self.entry = [None, None, None]
 
     def solve(self, p):
@@ -452,14 +457,13 @@ class _BurstModel:
         key = p.tobytes()
         if self.entry[0] != key:
             fixed = self.fixed
+            g_e, kappa_s, n_spins = (float(10.0 ** v) for v in p)
             params = cqed.MaserSystemParams(
-                g_e=10.0 ** p[0], kappa_c=fixed["kappa_c"], kappa_s=10.0 ** p[1],
-                gamma=fixed["gamma"], delta=fixed.get("delta", 0.0),
-                n_spins=10.0 ** p[2], n_bar=fixed["n_bar"])
-            init = cqed.MaserState(photon_number=fixed["n_bar"], coherence=0.0,
-                                   inversion=fixed["inversion0"], spin_correlation=0.0)
+                g_e=g_e, kappa_c=fixed["kappa_c"], kappa_s=kappa_s, gamma=fixed["gamma"],
+                delta=fixed.get("delta", 0.0), n_spins=n_spins, n_bar=fixed["n_bar"])
             try:
-                traj = cqed.simulate_maser(params, init, (self.t[0], self.t[-1]), t_eval=self.t)
+                traj = cqed.simulate_maser(params, self.init, (self.t[0], self.t[-1]),
+                                           t_eval=self.t)
             except NumericalError:
                 traj = None
             self.entry = [key, traj, None]
@@ -474,12 +478,8 @@ class _BurstModel:
 
         traj = self.solve(p)
         if self.entry[2] is None:
-            if traj is None:
-                jac = np.zeros((len(self.t), 3))
-            else:
-                jac = cqed._log_photon_sensitivity(traj)
-                jac[~(traj.photon_number > LOG_FLOOR)] = 0.0   # log10 floor is flat
-            self.entry[2] = jac
+            self.entry[2] = (np.zeros((len(self.t), 3)) if traj is None
+                             else cqed._log_photon_sensitivity(traj, LOG_FLOOR))
         return self.entry[2]
 
 

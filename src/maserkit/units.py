@@ -38,6 +38,8 @@ CONSTANTS = PhysConstants()
 
 def is_finite_real(value):
     """True for a real number, not a bool, that is neither nan nor +-inf."""
+    if isinstance(value, float):    # float and numpy.float64, without the ABC check
+        return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     try:

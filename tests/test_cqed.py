@@ -18,7 +18,6 @@ import maserkit
 from maserkit import cli, cqed, fitting
 from maserkit.cqed import (
     _rhs_coefficients,
-    _scaled_rhs,
     MaserState,
     MaserSystemParams,
     cooperativity,
@@ -172,9 +171,9 @@ def test_simulation_takes_scipy_rk45_steps(monkeypatch):
     integrate = cqed._integrate_rk45
 
     def counted(*args):
-        record, rhs_calls = integrate(*args)
+        record, states, rhs_calls = integrate(*args)
         calls.append(rhs_calls)
-        return record, rhs_calls
+        return record, states, rhs_calls
 
     monkeypatch.setattr(cqed, "_integrate_rk45", counted)
     worst = 0.0
@@ -225,8 +224,10 @@ def test_non_finite_tolerances_span_and_point_counts_are_refused(monkeypatch, kw
 @pytest.mark.parametrize("overrides", [{"kappa_c": 1e308}, {"n_bar": 1e300}, {"g_e": 1e200}],
                          ids=["kappa_c", "n_bar", "g_e"])
 def test_arithmetic_failure_is_an_integration_failure(overrides):
+    # Each case overflows the first stage, so the initial step rule divides
+    # by a zero step; the kernel refuses to start, before any step.
     params = dataclasses.replace(REF_PARAMS, **overrides)
-    with pytest.raises(IntegrationFailureError) as info:
+    with pytest.raises(IntegrationFailureError, match="initial step size") as info:
         simulate_maser(params, REF_INIT, (0.0, 1.5e-5))
     assert info.value.last_time == 0.0
 
@@ -274,11 +275,11 @@ def test_an_empty_kernel_cache_builds_the_kernel_once(monkeypatch, empty_kernel_
     monkeypatch.setattr(cqed, "_build_kernel", counted)
     # a solve and a sensitivity pass share one build
     first = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 2e-6), n_points=50)
-    first_sensitivity = cqed._log_photon_sensitivity(first)
+    first_sensitivity = cqed._log_photon_sensitivity(first, fitting.LOG_FLOOR)
     assert len(builds) == 1
     cqed._rk45_kernel.cache_clear()    # as a new process would: load from the cache
     again = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 2e-6), n_points=50)
-    again_sensitivity = cqed._log_photon_sensitivity(again)
+    again_sensitivity = cqed._log_photon_sensitivity(again, fitting.LOG_FLOOR)
     assert len(builds) == 1
     assert [p.name for p in empty_kernel_cache.iterdir()] == [builds[0].name]
     assert bytes(first._record) == bytes(again._record)
@@ -380,13 +381,13 @@ def test_runaway_solve_stops_at_the_step_budget(overrides):
 def test_kept_steps_solve_is_bit_identical_to_simulate_maser():
     t_eval = np.linspace(0.0, 1.5e-5, 600)
     traj = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5), t_eval=t_eval)
-    kept = cqed._dense_output(traj._record, t_eval)[0] * REF_PARAMS.n_spins
+    kept = kernel_order_dense_output(traj._record, t_eval)[0] * REF_PARAMS.n_spins
     assert np.array_equal(kept, traj.photon_number)
     # every accepted step is kept, not only the 600 that host output points
     assert len(np.frombuffer(traj._record)) // cqed._RECORD > 1000
-    # the record is not part of the trajectory's value
-    assert "_record" not in repr(traj)
-    assert not any(f.compare for f in dataclasses.fields(traj) if f.name == "_record")
+    # the record and the solve's coefficients are not part of the trajectory's value
+    assert "_record" not in repr(traj) and "_coefficients" not in repr(traj)
+    assert not any(f.compare for f in dataclasses.fields(traj) if f.name.startswith("_"))
 
 
 # The Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) and the
@@ -406,13 +407,114 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
 
 
+# The oracles of the kernel in _rk45.c, in Python floats and numpy.
+
+
+def _scaled_rhs(t, y, c):
+    """The right-hand side on the N-scaled state y = (n/N, Re c/N, Im c/N, sz, ss/N);
+    c holds the coefficients of cqed._rhs_coefficients, in order."""
+    n, cr, ci, sz, ss = y
+    kappa_c, feed, half_width, delta, g_e, two_g, four_g, gamma, n_spins, pair_weight, \
+        pair_decay = c
+    bracket = 0.5 * (sz + 1.0) / n_spins + pair_weight * ss + n * sz
+    return (
+        -kappa_c * n + feed - two_g * ci,
+        -half_width * cr + delta * ci,
+        -half_width * ci - delta * cr - g_e * bracket,
+        -gamma * sz + four_g * ci,
+        -pair_decay * ss - two_g * sz * ci,
+    )
+
+
+def _rms(x):
+    # Summed left to right, as the kernel's error norms are; sum() of
+    # floats is compensated from Python 3.12.  Squares by multiplication: an
+    # overflow gives inf, as in numpy, not an exception.
+    total = 0.0
+    for v in x:
+        total += v * v
+    return math.sqrt(total) / math.sqrt(len(x))
+
+
+def _initial_step(rhs, c, t0, t1, y0, f0, rtol, atol):
+    """First step size by the rule of Hairer, Norsett & Wanner, Sec. II.4."""
+    interval = t1 - t0
+    scale = [atol + abs(a) * rtol for a in y0]
+    d0 = _rms([a / b for a, b in zip(y0, scale)])
+    d1 = _rms([a / b for a, b in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = rhs(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)], c)
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
+# Shampine's quartic dense output (Math. Comp. 46, 135 (1986)) of the
+# Dormand-Prince 5(4) pair, as scipy's RK45 has it: stage j weighs in with
+# _DENSE_P[j] . (x, x^2, x^3, x^4) at x = (t - t_old) / h.
+_DENSE_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+
+def _dense_output(record, t_eval):
+    """States at t_eval, shape (5, len), from the quartic interpolants of the
+    recorded steps, by numpy's einsum."""
+    rec = np.asarray(record, dtype=float).reshape(-1, cqed._RECORD)
+    t_old, t_new = rec[:, 0], rec[:, 1]
+    step = np.searchsorted(t_new, t_eval)
+    h = (t_new - t_old)[step]
+    q = np.einsum("msi,sj->mij", rec[step, 7:].reshape(-1, 7, 5), _DENSE_P)
+    x = (t_eval - t_old[step]) / h
+    powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
+    return (rec[step, 2:7] + h[:, None] * np.einsum("pij,pj->pi", q, powers)).T
+
+
+def kernel_order_dense_output(record, t_eval):
+    """_dense_output in Python floats, in the kernel's order of operations:
+    each q = sum over the stages s = 0..6 of k_s _DENSE_P[s], from 0, then
+    y_old + h ((q0 x + q2 x^3) + (q1 x^2 + q3 x^4))."""
+    rec = np.asarray(record, dtype=float).reshape(-1, cqed._RECORD)
+    weights = _DENSE_P.tolist()
+    out = np.empty((5, len(t_eval)))
+    for p, (t, r) in enumerate(zip(t_eval.tolist(), np.searchsorted(rec[:, 1], t_eval))):
+        t_old, t_new, *row = rec[r].tolist()
+        h = t_new - t_old
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        for i in range(5):
+            q = []
+            for j in range(4):
+                total = 0.0
+                for s in range(7):
+                    total += row[5 + 5 * s + i] * weights[s][j]
+                q.append(total)
+            out[i, p] = row[i] + h * ((q[0] * x + q[2] * x3) + (q[1] * x2 + q[3] * x4))
+    return out
+
+
 def reference_rk45(rhs, c, t0, t1, y0, rtol, atol):
     """Reference: the Dormand-Prince 5(4) loop written generically over the
     state components, with the integrator's tableau, controller and record."""
     record = []
     t, y = t0, y0
     f = rhs(t, y, c)
-    h_abs = cqed._initial_step(rhs, c, t0, t1, y0, f, rtol, atol)
+    h_abs = _initial_step(rhs, c, t0, t1, y0, f, rtol, atol)
     while t < t1:
         h_abs = max(h_abs, 10.0 * (math.nextafter(t, math.inf) - t))
         rejected = False
@@ -432,7 +534,7 @@ def reference_rk45(rhs, c, t0, t1, y0, rtol, atol):
             y_new = [a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
                      for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
             k7 = rhs(t + h, y_new, c)
-            error_norm = cqed._rms([
+            error_norm = _rms([
                 (_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * v + _E7 * w) * h
                 / (atol + max(abs(a), abs(b)) * rtol)
                 for a, b, p, r, s, u, v, w in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
@@ -452,13 +554,15 @@ def reference_rk45(rhs, c, t0, t1, y0, rtol, atol):
     return np.array(record)
 
 
-def test_unrolled_steps_are_bit_identical_to_the_generic_loop():
-    # The reference calls _scaled_rhs at every stage, so this also pins the
-    # kernel's inlined right-hand side to it bit for bit.  The corners start
-    # with no coherence and delta = 0, where Re <S+a> stays zero; the last
-    # cases give every term of the right-hand side weight: detuning, an
-    # initial coherence and spin correlation, and an ensemble of 1e3 spins,
-    # where (sz + 1) / 2N and 1 - 1/N differ visibly from 0 and 1.
+def unrolled_cases():
+    """(params, init, t1, t_eval, rtol, atol) of 31 solves from 0 to t1.
+
+    The corners start with no coherence and delta = 0, where Re <S+a>
+    stays zero; the last cases give every term of the right-hand side
+    weight: detuning, an initial coherence and spin correlation, and an
+    ensemble of 1e3 spins, where (sz + 1) / 2N and 1 - 1/N differ visibly
+    from 0 and 1.
+    """
     grid = np.linspace(0.0, 1.5e-5, 600)
     cases = [(dataclasses.replace(REF_PARAMS, g_e=fg * REF_PARAMS.g_e,
                                   kappa_s=fk * REF_PARAMS.kappa_s,
@@ -476,19 +580,65 @@ def test_unrolled_steps_are_bit_identical_to_the_generic_loop():
                   MaserState(photon_number=2.0, coherence=3.0 + 4.0j, inversion=0.8,
                              spin_correlation=50.0),
                   1.5e-5, grid, cqed.DEFAULT_RTOL, cqed.DEFAULT_ATOL))
+    return cases
+
+
+# The default record holds every solve of unrolled_cases in one kernel
+# call; 300 rows make each solve fill it and resume two or three times.
+RECORD_ROWS = (cqed._RECORD_ROWS, 300)
+
+
+def test_unrolled_steps_are_bit_identical_to_the_generic_loop(monkeypatch):
+    # The reference calls _scaled_rhs at every stage, from the first stage
+    # and the initial step on, so this also pins the kernel's inlined
+    # right-hand side and initial step rule to it bit for bit.
     calls = []
 
     def rhs(t, y, c):
         calls.append(t)
         return _scaled_rhs(t, y, c)
 
-    for params, init, t1, t_eval, rtol, atol in cases:
+    for params, init, t1, t_eval, rtol, atol in unrolled_cases():
         y0, c, _ = cqed._scaled_start(params, init)
         calls.clear()
-        record, rhs_calls = cqed._integrate_rk45(c, 0.0, t1, y0, t_eval, rtol, atol)
         reference = reference_rk45(rhs, c, 0.0, t1, y0, rtol, atol)
-        assert bytes(record) == reference.tobytes(), (params, init)
-        assert rhs_calls == len(calls), (params, init)
+        reference_calls = len(calls)
+        for rows in RECORD_ROWS:
+            monkeypatch.setattr(cqed, "_RECORD_ROWS", rows)
+            record, _, rhs_calls = cqed._integrate_rk45(c, 0.0, t1, y0, t_eval, rtol, atol)
+            assert bytes(record) == reference.tobytes(), (params, init, rows)
+            assert rhs_calls == reference_calls, (params, init, rows)
+
+
+@pytest.mark.parametrize("record_rows", RECORD_ROWS, ids=["one-call", "resumed"])
+def test_kernel_states_are_the_dense_output_of_its_record(monkeypatch, record_rows):
+    # The kernel samples each step as it takes it.  Its states are bit-equal
+    # to the dense output in its own order of operations, and within 4 ulp
+    # of the numpy einsum oracle (bit-equal with numpy 2.4 on x86-64;
+    # another build may sum in another order).  On the 31 cases and on the
+    # grids of the maser fit's first windows: the 39-, 52-, 65- and 193-row
+    # prefixes of the 600-point grid.
+    monkeypatch.setattr(cqed, "_RECORD_ROWS", record_rows)
+    grid = np.linspace(0.0, 1.5e-5, 600)
+    cases = unrolled_cases() + [
+        (REF_PARAMS, REF_INIT, grid[rows - 1], grid[:rows], cqed.DEFAULT_RTOL, cqed.DEFAULT_ATOL)
+        for rows in (39, 52, 65, 193)]
+    for params, init, t1, t_eval, rtol, atol in cases:
+        y0, c, _ = cqed._scaled_start(params, init)
+        record, states, _ = cqed._integrate_rk45(c, 0.0, t1, y0, t_eval, rtol, atol)
+        assert states.tobytes() == kernel_order_dense_output(record, t_eval).tobytes(), params
+        einsum = _dense_output(record, t_eval)
+        assert np.all(np.abs(states - einsum) <= 4 * np.spacing(np.abs(einsum))), params
+
+
+def test_kernel_flags_keep_the_float_operations():
+    # The bit-identity of the record and the states rests on the compiler
+    # keeping every float operation as written: no fused multiply-adds, no
+    # reassociation, no instructions beyond the platform's baseline.
+    assert "-ffp-contract=off" in cqed._KERNEL_FLAGS
+    for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native"):
+        assert flag not in cqed._KERNEL_FLAGS
+    assert cqed._compile_command()[-len(cqed._KERNEL_FLAGS):] == list(cqed._KERNEL_FLAGS)
 
 
 # The stage tableau as one table: row i builds the state of stage i + 1
@@ -595,7 +745,7 @@ def reference_log_photon_sensitivity(traj):
         stages = (maps[steps] @ states[steps][:, None])[where]
         hh = h[steps, 0, 0][where]
         x = (t_eval[first:stop] - block[steps, 0][where]) / hh
-        weights = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1) @ cqed._DENSE_P.T
+        weights = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1) @ _DENSE_P.T
         sens[first:stop] = (states[steps, :5][where]
                             + hh[:, None, None] * np.einsum("qi,qids->qds", weights, stages))
     n_scaled = traj.photon_number / coeffs.n_spins
@@ -630,7 +780,8 @@ def test_exact_jacobian_matches_central_differences():
     for fg, fk, fn in itertools.product((0.7, 1.0, 1.3), repeat=3):
         p = np.log10([fg * REF_PARAMS.g_e, fk * REF_PARAMS.kappa_s, fn * REF_PARAMS.n_spins])
         exact = cqed._log_photon_sensitivity(
-            simulate_maser(scaled_params(p), REF_INIT, (0.0, t_eval[-1]), t_eval=t_eval))
+            simulate_maser(scaled_params(p), REF_INIT, (0.0, t_eval[-1]), t_eval=t_eval),
+            fitting.LOG_FLOOR)
         for j in range(3):
             d = 1e-8 * abs(p[j])
             while True:
@@ -659,7 +810,7 @@ def frozen_step_log_photons(p, steps, t_eval):
         record += [t, t + h, *y, *np.concatenate(k)]
         y = y + h * (_STAGES[-1] @ np.array(k[:6]))
         t += h
-    return np.log10(cqed._dense_output(np.array(record), t_eval)[0] * N)
+    return np.log10(_dense_output(np.array(record), t_eval)[0] * N)
 
 
 def test_exact_jacobian_is_the_frozen_step_derivative():
@@ -669,7 +820,7 @@ def test_exact_jacobian_is_the_frozen_step_derivative():
     t_eval = np.linspace(0.0, 1.5e-5, 600)
     p = np.log10([1.3 * REF_PARAMS.g_e, REF_PARAMS.kappa_s, 0.7 * REF_PARAMS.n_spins])
     traj = simulate_maser(scaled_params(p), REF_INIT, (0.0, t_eval[-1]), t_eval=t_eval)
-    exact = cqed._log_photon_sensitivity(traj)
+    exact = cqed._log_photon_sensitivity(traj, fitting.LOG_FLOOR)
     record = np.frombuffer(traj._record).reshape(-1, cqed._RECORD)
     steps = record[:, 1] - record[:, 0]
     for j in range(3):
@@ -700,18 +851,31 @@ def test_kernel_sensitivity_matches_the_numpy_reference(case):
     }
     for params, init, t_eval, tolerances in runs[case]:
         traj = simulate_maser(params, init, (0.0, 1.5e-5), t_eval=t_eval, **tolerances)
-        kernel = cqed._log_photon_sensitivity(traj)
+        kernel = cqed._log_photon_sensitivity(traj, fitting.LOG_FLOOR)
         reference = reference_log_photon_sensitivity(traj)
         scale = np.max(np.abs(reference), axis=0)
         assert np.all(np.max(np.abs(kernel - reference), axis=0) <= 1e-10 * scale), params
 
 
+def test_sensitivity_rows_not_above_the_floor_are_zero():
+    # The fit's log10 is floored, so its Jacobian is zero where the photon
+    # number is not above the floor; the kernel zeroes those rows and leaves
+    # the others as they are.
+    traj = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5), n_points=600)
+    full = cqed._log_photon_sensitivity(traj, 0.0)
+    floor = float(np.median(traj.photon_number))
+    masked = cqed._log_photon_sensitivity(traj, floor)
+    low = ~(traj.photon_number > floor)
+    assert 0 < np.count_nonzero(low) < len(low)
+    assert np.all(masked[low] == 0.0)
+    assert np.array_equal(masked[~low], full[~low])
+
+
 def test_a_record_that_ends_before_the_output_grid_raises():
     traj = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5), n_points=600)
-    rows = len(traj._record) // cqed._RECORD_BYTES
-    short = dataclasses.replace(traj, _record=traj._record[:rows // 2 * cqed._RECORD_BYTES])
+    short = dataclasses.replace(traj, _record=traj._record[:len(traj._record) // 2])
     with pytest.raises(ValueError, match="covers [0-9]+ of the 600 output times"):
-        cqed._log_photon_sensitivity(short)
+        cqed._log_photon_sensitivity(short, fitting.LOG_FLOOR)
 
 
 def test_cooperativity_reference_value():

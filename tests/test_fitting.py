@@ -586,9 +586,9 @@ def test_no_parameter_point_is_solved_twice_in_a_fit(monkeypatch, start):
         solved.append(point(params, t_span[1]))
         return simulate(params, init, t_span, **kwargs)
 
-    def counted_sensitivity(traj):
+    def counted_sensitivity(traj, *args):
         passes.append(point(traj.params, traj.t[-1]))
-        return sensitivity(traj)
+        return sensitivity(traj, *args)
 
     monkeypatch.setattr(cqed, "simulate_maser", counted_solve)
     monkeypatch.setattr(cqed, "_log_photon_sensitivity", counted_sensitivity)
