@@ -18,9 +18,14 @@ Every sum-of-exponentials fit (the biexponential trEPR fit here, the
 TCSPC tail and the SVD time profiles in spectro) goes through one
 variable-projection fitter: LM runs over the log-rates only, the
 amplitudes are the linear least-squares solution for each trial, and the
-rates start from a matrix pencil.  One thin SVD of the exponential basis
-per trial gives both the amplitudes and the closed-form Golub-Pereyra
-Jacobian of the projected residual.
+rates start from a matrix pencil, whose signal subspace comes from the
+small Gram matrix of its Hankel matrix and one subspace-iteration step.
+One thin SVD of the exponential basis per trial gives both the
+amplitudes and the closed-form Golub-Pereyra Jacobian of the projected
+residual.  The basis, its rate derivatives and the projection are built
+component-major: C-contiguous (k, n) arrays, one row per exponential
+component, so numpy's elementwise loops run along the n samples and not
+along the few components.
 
 The maser fit deserves a note.  Its objective (log10 photon number of a
 simulated burst against data) is smooth in the spin count N but razor
@@ -77,7 +82,7 @@ def _residual_fn(model, y):
     """The residual function p -> model(p) - y; a NaN in the model is an error."""
     def resid(p):
         m = np.asarray(model(p), dtype=float)
-        if np.any(np.isnan(m)):
+        if np.isnan(m).any():
             raise ModelEvaluationError("model returned NaN")
         return m - y
 
@@ -122,6 +127,7 @@ def nlls_minimize(model, jacobian, y, init, max_iterations=MAX_ITERATIONS, max_s
     cond = np.inf
     iterations = 0
     converged = False
+    eye = np.eye(len(p))
 
     def accept(step):
         """Move to p + step if that lowers the cost; True when the step is taken."""
@@ -152,7 +158,7 @@ def nlls_minimize(model, jacobian, y, init, max_iterations=MAX_ITERATIONS, max_s
         damping = 0.0    # the Gauss-Newton trial; lambda moves only after damped ones
         while True:
             try:
-                step = np.linalg.solve(JtJ + damping * np.eye(len(p)), -grad)
+                step = np.linalg.solve(JtJ + damping * eye, -grad)
             except np.linalg.LinAlgError:
                 step = None
             accepted = (step is not None
@@ -217,23 +223,41 @@ EXP_MAX_ITERATIONS = 50
 
 
 def _exp_basis(t, log_rates, offset):
-    """Columns exp(-r_j t), ln r_j clamped at MAX_LOG_RATE, and ones for an offset."""
+    """The (n, m) basis: columns exp(-r_j t), ln r_j clamped at MAX_LOG_RATE,
+    and ones for an offset.
+
+    It is the transpose of a C-contiguous (m, n) array, one row per
+    column, so the rows that _rate_derivatives and _ExpProjection work on
+    are contiguous: numpy's elementwise loops run along the n samples.
+    """
     rates = np.exp(np.minimum(log_rates, MAX_LOG_RATE))
+    rows = np.empty((len(rates) + offset, len(t)))
     with np.errstate(over="ignore"):
-        basis = np.exp(-np.outer(t, rates))
-    return np.column_stack([basis, np.ones(len(t))]) if offset else basis
+        np.exp(-(rates[:, None] * t), out=rows[:len(rates)])
+    rows[len(rates):] = 1.0
+    return rows.T
 
 
 def _pencil_rates(t, y, k, offset):
     """k distinct positive decay rates of y by the matrix pencil method.
 
     y is resampled on a uniform grid (differenced once to remove an
-    offset) and laid out as a Hankel matrix of width PENCIL_WIDTH + 1;
+    offset) and laid out as a Hankel matrix H of width PENCIL_WIDTH + 1;
     the eigenvalues z of pinv(V[:-1]) V[1:], with V its k leading right
     singular vectors, are the poles and r = -ln|z| / dt (Hua & Sarkar,
     IEEE Trans. ASSP 38, 814 (1990)).  Rates are clipped to
     [0.1 / span, 10 / dt], so a pole that does not decay becomes a slow
     component.
+
+    V comes from the small Gram matrix H^T H, not from a factorization
+    of the tall H: its k + 2 leading eigenvectors V0 start one step of
+    subspace iteration through H (Q from qr(H V0)), and V is the leading
+    right singular vectors of Q^T H.  The Gram matrix alone squares the
+    condition number of H, so a weak component's singular vector is lost
+    in rounding (rates up to 770% off on three components of amplitudes
+    1 : 1e-3 : 1e-4); the one step through H restores the accuracy of a
+    factorization of H itself.  test_pencil_recovers_weak_components
+    pins this.
     """
     grid = np.linspace(t[0], t[-1], len(t))
     dt = grid[1] - grid[0]
@@ -243,10 +267,11 @@ def _pencil_rates(t, y, k, offset):
     width = min(PENCIL_WIDTH, (len(samples) - 1) // 2)
     poles = np.ones(k)    # too few samples for a pencil: start all slow
     if width >= k:
-        hankel = np.lib.stride_tricks.sliding_window_view(samples, width + 1)
-        # the Hankel matrix and its triangular factor R share their right
-        # singular vectors; R is (width + 1) square
-        v = np.linalg.svd(np.linalg.qr(hankel, mode="r"))[2][:k].T
+        hankel = np.ascontiguousarray(
+            np.lib.stride_tricks.sliding_window_view(samples, width + 1))
+        v0 = np.linalg.eigh(hankel.T @ hankel)[1][:, -(k + 2):]    # the leading ones
+        q = np.linalg.qr(hankel @ v0)[0]
+        v = np.linalg.svd(q.T @ hankel, full_matrices=False)[2][:k].T
         poles = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
     with np.errstate(divide="ignore"):
         rates = -np.log(np.abs(poles)) / dt
@@ -274,12 +299,14 @@ def _spread_rates(rates, ratio):
 def _rate_derivatives(t, basis, log_rates):
     """Columns d exp(-r_j t) / d ln r_j = -r_j t exp(-r_j t) of the basis.
 
-    basis * t comes first: exp(-r t) underflows to 0 before r t can
+    They are formed as rows, -(row_j * t) * r_j on the contiguous rows
+    of the basis (see _exp_basis), and returned as the (n, k) transpose.
+    row_j * t comes first: exp(-r t) underflows to 0 before r t can
     overflow, so a rate at the MAX_LOG_RATE clamp gets the zero column
     the flat clamp has (exp(-r t) is 0 for every t > 0 there).
     """
     rates = np.exp(np.minimum(log_rates, MAX_LOG_RATE))
-    return -(basis[:, :len(log_rates)] * t[:, None]) * rates
+    return (-(basis.T[:len(log_rates)] * t) * rates[:, None]).T
 
 
 class _ExpProjection:
@@ -297,14 +324,18 @@ class _ExpProjection:
     equal or clamped rates get the minimum-norm amplitudes.  The
     projection keeps the factors of its last point, as _BurstModel keeps
     its last solve, so the Jacobian at the point LM just accepted builds
-    no basis.
+    no basis.  It works component-major, on C-contiguous arrays with one
+    row per basis column or singular vector, where numpy's elementwise
+    loops run along the n samples: it keeps U^T (rank x n) rather than U,
+    and builds the derivative rows d_j^T, their projections and the rows
+    of Phi^+ as (k, n) arrays; jacobian returns the (n, k) transpose.
     """
 
     def __init__(self, t, y, offset):
         self.t = t
         self.y = y
         self.offset = offset
-        self._factors = (None, None)     # (key, (basis, u, s, vt, amplitudes, fitted))
+        self._factors = (None, None)     # (key, (basis, ut, s, vt, amplitudes, fitted))
 
     def factors(self, log_rates):
         key = log_rates.tobytes()
@@ -312,20 +343,21 @@ class _ExpProjection:
             basis = _exp_basis(self.t, log_rates, self.offset)
             u, s, vt = np.linalg.svd(basis, full_matrices=False)
             keep = s > np.finfo(float).eps * max(basis.shape) * s[0]
-            u, s, vt = u[:, keep], s[keep], vt[keep]
-            coef = u.T @ self.y
-            self._factors = (key, (basis, u, s, vt, vt.T @ (coef / s), u @ coef))
+            ut, s, vt = u.T[keep], s[keep], vt[keep]
+            coef = ut @ self.y
+            self._factors = (key, (basis, ut, s, vt, vt.T @ (coef / s), coef @ ut))
         return self._factors[1]
 
     def fitted(self, log_rates):
         return self.factors(log_rates)[5]
 
     def jacobian(self, log_rates):
-        basis, u, s, vt, c, fitted = self.factors(log_rates)
+        basis, ut, s, vt, c, fitted = self.factors(log_rates)
         k = len(log_rates)
-        d = _rate_derivatives(self.t, basis, log_rates)
-        pinv_t = u @ (vt[:, :k] / s[:, None])    # columns (Phi^+)^T e_j
-        return (d - u @ (u.T @ d)) * c[:k] - pinv_t * (d.T @ (fitted - self.y))
+        d = _rate_derivatives(self.t, basis, log_rates).T     # rows d_j^T
+        pinv = (vt[:, :k] / s[:, None]).T @ ut                # rows e_j^T Phi^+
+        return ((d - (d @ ut.T) @ ut) * c[:k, None]
+                - pinv * (d @ (fitted - self.y))[:, None]).T
 
 
 def _fit_exponentials(t, y, k, offset=False, rates0=None):
