@@ -288,13 +288,7 @@ def _cmd_simulate_maser(args):
     from .trace import write_columns
 
     values = _maser_params_from_args(args)
-    params = cqed.MaserSystemParams(
-        g_e=values["g_e"], kappa_c=values["kappa_c"], kappa_s=values["kappa_s"],
-        gamma=values["gamma"], delta=values["delta"],
-        n_spins=values["n_spins"], n_bar=values["n_bar"])
-    init = cqed.MaserState(
-        photon_number=values.get("photon0", values["n_bar"]),
-        coherence=0.0, inversion=values["inversion0"], spin_correlation=0.0)
+    params, init = cqed.burst_system(values)
     # explicit flags take precedence over the parameter file
     t_max_us = args.t_max_us if args.t_max_us is not None else values.get("t_max_us", 15.0)
     t_max = t_max_us * 1e-6

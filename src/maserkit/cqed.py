@@ -94,6 +94,8 @@ MAX_STEPS = 50_000
 MIN_SEARCH_BIN = 3
 RIPPLE_FLOOR_DECADES = 6.0
 PEAK_OVER_FLOOR = 3.0
+# count_oscillations resolves a maximum this fraction above its neighbouring minima
+RIPPLE_PROMINENCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,23 @@ class MaserState:
         if abs(self.inversion) > 1.0 + 1e-6:
             raise InvalidInputError(f"|inversion| must be <= 1, got {self.inversion!r}")
         return self
+
+
+def burst_system(values):
+    """(MaserSystemParams, MaserState) of a burst from a mapping keyed as
+    synthetic.BURST_DEFAULTS.
+
+    delta defaults to 0 and the starting photon number, photon0, to
+    n_bar; the burst starts at inversion inversion0 with no coherence
+    and no spin correlation.  Other keys are ignored.
+    """
+    params = MaserSystemParams(
+        g_e=values["g_e"], kappa_c=values["kappa_c"], kappa_s=values["kappa_s"],
+        gamma=values["gamma"], delta=values.get("delta", 0.0),
+        n_spins=values["n_spins"], n_bar=values["n_bar"])
+    init = MaserState(photon_number=values.get("photon0", values["n_bar"]), coherence=0.0,
+                      inversion=values["inversion0"], spin_correlation=0.0)
+    return params, init
 
 
 # The constants of the right-hand side, in the order the kernel reads them.
@@ -430,6 +449,11 @@ def simulate_maser(params, init, t_span, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     )
 
 
+def _local_maxima(y):
+    """Indices of the interior samples above their left and not below their right neighbour."""
+    return np.nonzero((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:]))[0] + 1
+
+
 def _ripple_train_end(seg):
     """Index just past the last resolvable ripple maximum in a burst tail.
 
@@ -439,11 +463,8 @@ def _ripple_train_end(seg):
     all the whole segment is returned, so monotone tails fall through to
     the no-oscillation check downstream.
     """
-    if len(seg) < 3:
-        return len(seg)
     floor = np.max(seg) * 10.0 ** (-RIPPLE_FLOOR_DECADES)
-    is_max = (seg[1:-1] > seg[:-2]) & (seg[1:-1] >= seg[2:])
-    idx = np.nonzero(is_max)[0] + 1
+    idx = _local_maxima(seg)
     idx = idx[seg[idx] >= floor]
     if len(idx) == 0:
         return len(seg)
@@ -471,9 +492,8 @@ def extract_rabi_frequency(trace, burst_window=None):
     trace.require_unit("photons")
     t, y = trace.t, trace.y
     if burst_window is not None:
-        lo, hi = burst_window
-        seg = y[(t >= lo) & (t <= hi)]
-        ts = t[(t >= lo) & (t <= hi)]
+        inside = (t >= burst_window[0]) & (t <= burst_window[1])
+        seg, ts = y[inside], t[inside]
     else:
         i0 = int(np.argmax(y))
         i1 = i0 + _ripple_train_end(y[i0:])
@@ -510,30 +530,24 @@ def extract_rabi_frequency(trace, burst_window=None):
     return (k + shift) * df
 
 
-def count_oscillations(trace, burst_window=None, prominence=0.01):
+def count_oscillations(trace):
     """Number of resolvable local maxima in a photon burst.
 
     A maximum is resolved when it exceeds the adjacent local minima on
-    both sides by the given fractional prominence (1% by default).
-    Includes the main burst peak.
+    both sides (the trace's ends where there is none) by the fraction
+    RIPPLE_PROMINENCE.  Includes the main burst peak.
     """
     trace.require_unit("photons")
     y = trace.y
-    if burst_window is not None:
-        sel = (trace.t >= burst_window[0]) & (trace.t <= burst_window[1])
-        y = y[sel]
-    if len(y) < 3:
-        return 0
-    is_max = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])
-    is_min = (y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:])
-    max_idx = np.nonzero(is_max)[0] + 1
-    min_idx = np.nonzero(is_min)[0] + 1
+    max_idx = _local_maxima(y)
+    min_idx = _local_maxima(-y)
     count = 0
     for i in max_idx:
         left_mins = min_idx[min_idx < i]
         right_mins = min_idx[min_idx > i]
         v_left = y[left_mins[-1]] if len(left_mins) else y[0]
         v_right = y[right_mins[0]] if len(right_mins) else y[-1]
-        if y[i] > (1.0 + prominence) * v_left and y[i] > (1.0 + prominence) * v_right:
+        if (y[i] > (1.0 + RIPPLE_PROMINENCE) * v_left
+                and y[i] > (1.0 + RIPPLE_PROMINENCE) * v_right):
             count += 1
     return count

@@ -11,8 +11,11 @@ relative amount, or brings the cost to rounding.  At any other exit
 linearized step would lower the cost by less than REL_RESID_TOL of it,
 or when the Gauss-Newton step is below REL_PARAM_TOL (relative): the
 optimum was reached and rounding rejects or wastes every later
-trial.  Every caller brings its own Jacobian: the maser fit that of its
-solver, the exponential fits that of their projected residual.
+trial.  That test, the condition and the one-sigma errors all come from
+one thin SVD of the Jacobian at the returned point, and one rank rule
+(_resolved, which the exponential projection uses too) decides when it
+has lost rank.  Every caller brings its own Jacobian: the maser fit that
+of its solver, the exponential fits that of their projected residual.
 
 Every sum-of-exponentials fit (the biexponential trEPR fit here, the
 TCSPC tail and the SVD time profiles in spectro) goes through one
@@ -49,7 +52,7 @@ evaluations; nothing is stochastic.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,7 +71,9 @@ LOG_FLOOR = 1e-300
 
 @dataclass
 class FitResult:
-    """Outcome of a least-squares minimization."""
+    """Outcome of a least-squares minimization.  jacobian_condition and the
+    one-sigma param_uncertainties come from one thin SVD of the Jacobian
+    at params: infinite and NaN when it loses rank."""
 
     params: np.ndarray
     residual_norm: float
@@ -104,8 +109,9 @@ def nlls_minimize(model, jacobian, y, init, max_iterations=MAX_ITERATIONS, max_s
     reached) it is converged when a linearized step from the returned
     point would lower the cost by less than REL_RESID_TOL of it, or when
     the Gauss-Newton step from it is below REL_PARAM_TOL (relative).
-    Both tests use the Jacobian at the returned point, which also gives
-    the uncertainties.
+    After the loop one thin SVD of the Jacobian at the returned point
+    (_linearization) gives both tests, the condition and the
+    uncertainties; a Jacobian that loses rank leaves p unconverged.
 
     max_step optionally caps the infinity norm of each accepted step;
     the maser fit uses this to keep each window's descent inside its
@@ -124,7 +130,6 @@ def nlls_minimize(model, jacobian, y, init, max_iterations=MAX_ITERATIONS, max_s
     cost_floor = 1e-24 * max(cost, 1.0)
     lam = None
     J = None
-    cond = np.inf
     iterations = 0
     converged = False
     eye = np.eye(len(p))
@@ -172,42 +177,45 @@ def nlls_minimize(model, jacobian, y, init, max_iterations=MAX_ITERATIONS, max_s
         if not accepted or converged:
             break
 
-    if J is not None:    # the condition of the last iteration's Jacobian
-        svals = np.linalg.svd(J, compute_uv=False)
-        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
     if J is None or accepted:    # else every trial was rejected and J is at p
         J = np.asarray(jacobian(p), dtype=float)
+    cond, sigma, promised, gauss_newton = _linearization(J, r)
     if not converged and math.isfinite(cost):
-        # Every trial was rejected, or the cap was reached.  When an
-        # earlier step reached the optimum, rounding rejects or wastes
-        # every later trial: p is converged when a linearized step would
-        # lower the cost by less than REL_RESID_TOL of it, or when the
-        # Gauss-Newton step from p is below REL_PARAM_TOL (relative): at a
-        # cost near rounding the promised decrease is rounding too.  A NaN
-        # or singular Jacobian leaves p unconverged.
-        q, rmat = np.linalg.qr(J)
-        promised = q.T @ r
-        converged = float(promised @ promised) <= REL_RESID_TOL * cost
-        if not converged:
-            try:
-                step = np.linalg.solve(rmat, -promised)
-                converged = bool(np.max(np.abs(step) / np.maximum(np.abs(p), 1e-30))
-                                 < REL_PARAM_TOL)
-            except np.linalg.LinAlgError:
-                pass
-    return FitResult(params=p, residual_norm=math.sqrt(cost),
-                     jacobian_condition=cond, iterations=iterations,
-                     converged=converged, param_uncertainties=_linearized_uncertainties(J, r))
+        # every trial was rejected or the cap was reached: the stall test of the docstring
+        converged = bool(promised <= REL_RESID_TOL * cost
+                         or np.max(np.abs(gauss_newton) / np.maximum(np.abs(p), 1e-30))
+                         < REL_PARAM_TOL)
+    return FitResult(params=p, residual_norm=math.sqrt(cost), jacobian_condition=cond,
+                     iterations=iterations, converged=converged, param_uncertainties=sigma)
 
 
-def _linearized_uncertainties(J, r):
-    """One-sigma parameter errors from the linearized covariance at the optimum."""
+def _resolved(s, shape):
+    """The one rank rule: the singular values s (descending) of a matrix of this
+    shape that count are those above eps max(shape) s_max, lstsq's cutoff."""
+    return s > np.finfo(float).eps * max(shape) * s[0]
+
+
+def _linearization(J, r):
+    """The linearized problem at a returned point, from one thin SVD J = U S V^T.
+
+    Returns the condition s_max / s_min, the one-sigma errors (row i of
+    V / s, in norm, times sqrt(cost / dof)), the cost decrease |U^T r|^2
+    a linearized step promises and the Gauss-Newton step -V (U^T r / s).
+    A J with a singular value that _resolved drops, or with a non-finite
+    entry, has no such step: an infinite condition and NaN for the rest.
+    """
+    n, k = J.shape
     try:
-        dof = max(len(r) - J.shape[1], 1)
-        cov = float(r @ r) / dof * np.linalg.inv(J.T @ J)
-        return np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        return np.full(J.shape[1], np.nan)
+        u, s, vt = np.linalg.svd(J, full_matrices=False)
+        resolved = _resolved(s, J.shape)[-1]    # an infinite entry gives NaN values
+    except np.linalg.LinAlgError:               # a NaN entry
+        resolved = False
+    if not resolved:
+        return math.inf, np.full(k, np.nan), math.nan, np.full(k, np.nan)
+    coef = u.T @ r
+    v_over_s = vt.T / s
+    sigma = np.sqrt(np.sum(v_over_s * v_over_s, axis=1) * (float(r @ r) / max(n - k, 1)))
+    return float(s[0] / s[-1]), sigma, float(coef @ coef), -(v_over_s @ coef)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +350,7 @@ class _ExpProjection:
         if self._factors[0] != key:
             basis = _exp_basis(self.t, log_rates, self.offset)
             u, s, vt = np.linalg.svd(basis, full_matrices=False)
-            keep = s > np.finfo(float).eps * max(basis.shape) * s[0]
+            keep = _resolved(s, basis.shape)
             ut, s, vt = u.T[keep], s[keep], vt[keep]
             coef = ut @ self.y
             self._factors = (key, (basis, ut, s, vt, vt.T @ (coef / s), coef @ ut))
@@ -373,8 +381,9 @@ def _fit_exponentials(t, y, k, offset=False, rates0=None):
     only rates equal to rounding separated (see _spread_rates).
 
     Returns a FitResult with params (c_1..c_k[, c_0], ln r_1..ln r_k),
-    components ordered fastest first, and one-sigma errors from the
-    Jacobian in all of them at the optimum.
+    components ordered fastest first, one-sigma errors from
+    _linearization of the Jacobian in all of them at the optimum, and
+    the condition of the projected problem LM solved there.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -390,10 +399,7 @@ def _fit_exponentials(t, y, k, offset=False, rates0=None):
     q = np.concatenate([c, log_rates])
     # d/d ln r_j of c_j exp(-r_j t) is c_j d_j
     jac = np.column_stack([basis, _rate_derivatives(t, basis, log_rates) * c[:k]])
-    return FitResult(params=q, residual_norm=res.residual_norm,
-                     jacobian_condition=res.jacobian_condition,
-                     iterations=res.iterations, converged=res.converged,
-                     param_uncertainties=_linearized_uncertainties(jac, fitted - y))
+    return replace(res, params=q, param_uncertainties=_linearization(jac, fitted - y)[1])
 
 
 def fit_biexponential(trace, init=None):
@@ -458,29 +464,27 @@ def _log10(x):
 class _BurstModel:
     """The burst over p = log10 (g_e, kappa_s, n_spins) on a time grid.
 
-    Every solve of the maser fit goes through solve(p):
-    cqed.simulate_maser with the held quantities of fixed on t_grid (the
-    rows of one fit window), or None when the integration fails.
-    log_photons(p) is the _log10 of its photon trace, the fit's one
+    Every solve of the maser fit goes through solve(p): cqed.simulate_maser
+    with the held quantities of fixed (validated once by cqed.burst_system)
+    on t_grid (the rows of one fit window), or None when the integration
+    fails.  log_photons(p) is the _log10 of its photon trace, the fit's one
     model, and log_jacobian(p) gives its derivative d log10 n / dp, zero
     where n is not above LOG_FLOOR, from the trajectory's step record by
-    cqed._log_photon_sensitivity.  The model keeps one
-    entry, [key, trajectory, Jacobian], with the Jacobian filled in once
-    asked for: a Jacobian at the point just evaluated costs only the
-    sensitivity pass, and one asked for again costs nothing.  A failed
-    simulation gives a log10 photon trace of 300 (n = 1e300),
-    penalized rather than fatal, to push the optimizer away while the
-    cost stays finite, and a zero Jacobian.  cqed is imported here, so
-    the exponential fits never load it.
+    cqed._log_photon_sensitivity.  The model keeps one entry, [key,
+    trajectory, Jacobian], with the Jacobian filled in once asked for: a
+    Jacobian at the point just evaluated costs only the sensitivity pass,
+    and one asked for again costs nothing.  A failed simulation gives a
+    log10 photon trace of 300 (n = 1e300), penalized rather than fatal, to
+    push the optimizer away while the cost stays finite, and a zero
+    Jacobian.  cqed is imported here, so the exponential fits never load it.
     """
 
     def __init__(self, fixed, t_grid):
         from . import cqed
 
-        self.fixed = fixed
+        # the held system; solve puts in (g_e, kappa_s, n_spins)
+        self.held, self.init = cqed.burst_system(dict(fixed, g_e=0.0, kappa_s=0.0, n_spins=1.0))
         self.t = t_grid
-        self.init = cqed.MaserState(photon_number=fixed["n_bar"], coherence=0.0,
-                                    inversion=fixed["inversion0"], spin_correlation=0.0)
         self.entry = [None, None, None]
 
     def solve(self, p):
@@ -488,11 +492,11 @@ class _BurstModel:
 
         key = p.tobytes()
         if self.entry[0] != key:
-            fixed = self.fixed
+            held = self.held
             g_e, kappa_s, n_spins = (float(10.0 ** v) for v in p)
             params = cqed.MaserSystemParams(
-                g_e=g_e, kappa_c=fixed["kappa_c"], kappa_s=kappa_s, gamma=fixed["gamma"],
-                delta=fixed.get("delta", 0.0), n_spins=n_spins, n_bar=fixed["n_bar"])
+                g_e=g_e, kappa_c=held.kappa_c, kappa_s=kappa_s, gamma=held.gamma,
+                delta=held.delta, n_spins=n_spins, n_bar=held.n_bar)
             try:
                 traj = cqed.simulate_maser(params, self.init, (self.t[0], self.t[-1]),
                                            t_eval=self.t)
@@ -578,10 +582,5 @@ def fit_maser_parameters(photon_trace, fixed, init):
 
     params_phys = 10.0 ** result.params
     # d(param)/d(log10 param) = param ln 10
-    unc_phys = result.param_uncertainties * params_phys * math.log(10.0)
-    return FitResult(params=params_phys,
-                     residual_norm=result.residual_norm,
-                     jacobian_condition=result.jacobian_condition,
-                     iterations=iterations,
-                     converged=result.converged,
-                     param_uncertainties=unc_phys)
+    return replace(result, params=params_phys, iterations=iterations,
+                   param_uncertainties=result.param_uncertainties * params_phys * math.log(10.0))

@@ -57,13 +57,7 @@ def maser_burst(params=None, t_max=15e-6, n_points=600, noise_rms_log10=0.0, see
     p = dict(BURST_DEFAULTS)
     if params:
         p.update(params)
-    sys_params = cqed.MaserSystemParams(
-        g_e=p["g_e"], kappa_c=p["kappa_c"], kappa_s=p["kappa_s"],
-        gamma=p["gamma"], delta=p["delta"], n_spins=p["n_spins"],
-        n_bar=p["n_bar"])
-    init = cqed.MaserState(photon_number=p["n_bar"], coherence=0.0,
-                           inversion=p["inversion0"], spin_correlation=0.0)
-    traj = cqed.simulate_maser(sys_params, init, (0.0, t_max), n_points=n_points)
+    traj = cqed.simulate_maser(*cqed.burst_system(p), (0.0, t_max), n_points=n_points)
     y = traj.photon_number
     if noise_rms_log10 > 0:
         rng = np.random.default_rng(seed)

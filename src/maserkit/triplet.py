@@ -76,16 +76,24 @@ def _sinhc(x):
     return out
 
 
+def _eigen_split(model):
+    """(w, dk, s, r) of the rate matrix written as -s I + [[-dk, w], [w, dk]].
+
+    s = w + (k_x + k_z)/2, dk = (k_x - k_z)/2 and r = hypot(w, dk), so
+    the eigenvalues are -s -+ r.
+    """
+    w = model.w_xz
+    dk = 0.5 * (model.k_x - model.k_z)
+    return w, dk, w + 0.5 * (model.k_x + model.k_z), math.hypot(w, dk)
+
+
 def eigenrates(model):
     """Both eigenvalues of the rate matrix, (alpha_minus, alpha_plus).
 
     alpha_pm = -(w + (k_x + k_z)/2) +- sqrt(w^2 + ((k_x - k_z)/2)^2),
     ordered alpha_minus <= alpha_plus.
     """
-    k_avg = 0.5 * (model.k_x + model.k_z)
-    dk = 0.5 * (model.k_x - model.k_z)
-    r = math.hypot(model.w_xz, dk)
-    s = model.w_xz + k_avg
+    _, _, s, r = _eigen_split(model)
     return -s - r, -s + r
 
 
@@ -114,12 +122,7 @@ def evolve_populations(model, t_grid):
     if len(t) > 1 and not np.all(np.diff(t) > 0):
         raise InvalidInputError("t_grid must be strictly increasing")
 
-    k_avg = 0.5 * (model.k_x + model.k_z)
-    dk = 0.5 * (model.k_x - model.k_z)
-    w = model.w_xz
-    s = w + k_avg
-    r = math.hypot(w, dk)
-
+    w, dk, s, r = _eigen_split(model)
     decay = np.exp(-s * t)
     ch = np.cosh(r * t)
     tsh = t * _sinhc(r * t)    # sinh(r t)/r, exact at r = 0
@@ -140,10 +143,8 @@ def difference_coefficients(model):
     Raises for the degenerate case r = 0, where the difference signal
     is not a sum of two distinct exponentials.
     """
-    dk = 0.5 * (model.k_x - model.k_z)
-    w = model.w_xz
-    r = math.hypot(w, dk)
-    am, ap = eigenrates(model)
+    w, dk, s, r = _eigen_split(model)
+    am, ap = -s - r, -s + r
     if r == 0.0 or (ap - am) < DEGENERATE_GAP * abs(am):
         raise InvalidInputError(
             "degenerate eigenvalues: difference signal is not biexponential")
@@ -165,10 +166,7 @@ def equivalent_model(model, w_new):
     Raises InvalidInputError if w_new is outside the family or the
     implied populations fall outside [0, 1].
     """
-    dk = 0.5 * (model.k_x - model.k_z)
-    w = model.w_xz
-    r = math.hypot(w, dk)
-    s = w + 0.5 * (model.k_x + model.k_z)
+    w, dk, s, r = _eigen_split(model)
     if not 0.0 < w_new <= r:
         raise InvalidInputError(f"w_new must lie in (0, {r!r}]")
     dk_new = math.sqrt(max(r * r - w_new * w_new, 0.0))

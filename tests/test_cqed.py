@@ -36,7 +36,8 @@ from maserkit.errors import (
     UnitMismatchError,
 )
 from maserkit.spectro import write_matrix_csv
-from maserkit.synthetic import biexp_trepr, damped_cosine_burst, rank2_tas, tcspc_decay
+from maserkit.synthetic import (
+    BURST_DEFAULTS, biexp_trepr, damped_cosine_burst, maser_burst, rank2_tas, tcspc_decay)
 from maserkit.trace import TimeTrace, write_trace_csv
 from maserkit.units import TWO_PI, angular_to_ordinary
 
@@ -942,11 +943,25 @@ def test_count_oscillations_on_cosine():
     periods = meta["t_max"] * meta["f_rabi"]
     assert n >= 3
     assert abs(n - periods) <= 2
+    assert n == 12    # pinned: the count of the local-maximum rule on this trace
 
 
 def test_count_oscillations_on_simulated_burst():
     traj = simulate_maser(REF_PARAMS, REF_INIT, (0.0, 1.5e-5))
     assert count_oscillations(traj.photon_trace()) >= 3
+    assert count_oscillations(maser_burst()[0]) == 14    # the canonical burst, pinned
+
+
+def test_burst_system_reads_a_burst_defaults_mapping():
+    params, init = cqed.burst_system(BURST_DEFAULTS)
+    assert dataclasses.asdict(params) == {k: BURST_DEFAULTS[k] for k in (
+        "g_e", "kappa_c", "kappa_s", "gamma", "delta", "n_spins", "n_bar")}
+    assert init == MaserState(photon_number=BURST_DEFAULTS["n_bar"], coherence=0.0,
+                              inversion=BURST_DEFAULTS["inversion0"], spin_correlation=0.0)
+    # delta defaults to 0 and photon0, the starting photon number, to n_bar
+    held = {k: v for k, v in BURST_DEFAULTS.items() if k != "delta"}
+    params, init = cqed.burst_system({**held, "photon0": 1e5, "t_max_us": 5.0})
+    assert params.delta == 0.0 and init.photon_number == 1e5
 
 
 def test_params_validation():

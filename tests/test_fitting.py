@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,51 @@ def test_a_trial_below_the_float_spacing_of_p_is_not_evaluated():
     assert res.iterations == 1 and not res.converged
     assert res.params.tolist() == [1.0]
     assert len(evaluated) == len(set(evaluated)) == 13
+
+
+def test_condition_and_uncertainties_are_those_of_the_returned_point():
+    # The cap ends the run right after an accepted trial, far from the
+    # start, so the last iteration's Jacobian is not the one at params.
+    t = np.linspace(0.0, 3.0, 40)
+    y = 2.0 * np.exp(-1.3 * t) + 0.5 + 0.01 * np.sin(7.0 * t)
+    evaluated = []
+
+    def model(p):
+        evaluated.append(p.tobytes())
+        return p[0] * np.exp(-p[1] * t) + p[2]
+
+    def jacobian(p):
+        decay = np.exp(-p[1] * t)
+        return np.column_stack([decay, -p[0] * t * decay, np.ones_like(t)])
+
+    init = np.array([1.0, 0.5, 0.0])
+    res = nlls_minimize(model, jacobian, y, init, max_iterations=2)
+    assert res.iterations == 2 and evaluated[-1] == res.params.tobytes()
+    J = jacobian(res.params)
+    assert np.linalg.cond(jacobian(init)) != pytest.approx(np.linalg.cond(J), rel=1e-3)
+    assert res.jacobian_condition == pytest.approx(np.linalg.cond(J), rel=1e-10)
+    # the linearized covariance from a QR of J, not from its SVD
+    r_inv = np.linalg.inv(np.linalg.qr(J)[1])
+    cov = res.residual_norm ** 2 / (len(t) - 3) * (r_inv @ r_inv.T)
+    np.testing.assert_allclose(res.param_uncertainties, np.sqrt(np.diag(cov)), rtol=1e-10)
+
+
+def test_equal_jacobian_columns_give_nan_uncertainties_and_infinite_condition():
+    t = np.linspace(0.0, 1.0, 30)
+    y = 1.5 * t + 0.01 * np.cos(9.0 * t)
+
+    def model(p):
+        return (p[0] + p[1]) * t
+
+    def jacobian(p):
+        return np.column_stack([t, t])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = nlls_minimize(model, jacobian, y, np.zeros(2))
+    assert res.params.sum() == pytest.approx(np.dot(t, y) / np.dot(t, t), rel=1e-9)
+    assert res.jacobian_condition == np.inf
+    assert np.isnan(res.param_uncertainties).all()
 
 
 # ---------------------------------------------------------------------------
